@@ -1,369 +1,111 @@
-"""Hot numeric kernels for the moment-matching recovery solvers.
+"""The moment-matching solver for the latent-class model behind every fit.
 
-The kernels are written once in numba-compatible numpy and JIT-compiled when
-numba is available. Set ``NOISE_ID_NO_NUMBA=1`` to force the pure-numpy
-interpretation of the same code (slower, bit-identical results up to normal
-floating-point nondeterminism of the compiler; in practice identical here
-because the operations are the same scalar loops).
+An order-3 tensor is modelled as sum_y w[y] * A[y] (x) B[y] (x) C[y] for a
+prior w and three row-stochastic factor matrices. The factors are either tied
+(A = B = C = T, three i.i.d. noisy labels) or distinct (two features plus one
+noisy label). The prior and each factor row are parameterised by softmax
+logits, and one numpy function, `_residual_jac`, gives the residual and its
+Jacobian with respect to those logits for both cases.
 
-Two fitting problems are covered:
-
-* symmetric: order-3 tensor generated by a prior w and a single row-stochastic
-  matrix T tied across all three axes (i.i.d. noisy labels);
-* general: order-3 tensor generated by a prior and three distinct
-  row-stochastic factor matrices (two features plus one noisy label).
-
-Both parameterize the simplex constraints through row-wise softmax and
-minimize the squared Frobenius residual with gradient descent plus
-backtracking line search, followed by a Levenberg-Marquardt polish that
-brings exact-tensor fits down to machine precision.
+A local fit runs gradient descent with backtracking line search on the
+squared residual (gradient 2 J^T r), then a Levenberg-Marquardt polish that
+brings exact-tensor fits down to machine precision. `refine_boundary` pins
+near-zero entries to a logit of -inf, where the softmax value and the
+Jacobian column are exactly 0, and reruns the same polish on the rest.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-USE_NUMBA = os.environ.get("NOISE_ID_NO_NUMBA", "").lower() not in ("1", "true", "yes")
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        USE_NUMBA = False
-
-if not USE_NUMBA:
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
+DESCENT_ITER = 5000
+DESCENT_GTOL = 1e-10
+DESCENT_FTOL = 1e-26
+POLISH_ITER = 60
 
 
-@njit(cache=True)
-def _softmax(u):
-    m = np.max(u)
-    e = np.exp(u - m)
-    return e / np.sum(e)
+def _softmax(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-@njit(cache=True)
-def _row_softmax(V):
-    K, n = V.shape
-    out = np.empty((K, n))
-    for i in range(K):
-        out[i] = _softmax(V[i])
-    return out
+def _split(theta, K, dims):
+    """Prior and factor matrices (one per entry of dims) from the logits."""
+    mats, off = [], K
+    for d in dims:
+        mats.append(_softmax(theta[off : off + K * d].reshape(K, d)))
+        off += K * d
+    return _softmax(theta[:K]), mats
 
 
-@njit(cache=True)
-def _sym_value_grad(theta, target, K):
-    """Value and gradient of || model(theta) - target ||^2, tied factors."""
-    u = theta[:K]
-    V = theta[K:].reshape(K, K)
-    w = _softmax(u)
-    T = _row_softmax(V)
-
-    E = -target.copy()
-    for y in range(K):
-        t = T[y]
-        wy = w[y]
-        for a in range(K):
-            for b in range(K):
-                for c in range(K):
-                    E[a, b, c] += wy * t[a] * t[b] * t[c]
-
-    f = 0.0
-    for a in range(K):
-        for b in range(K):
-            for c in range(K):
-                f += E[a, b, c] * E[a, b, c]
-
-    grad_w = np.zeros(K)
-    grad_T = np.zeros((K, K))
-    for y in range(K):
-        t = T[y]
-        for a in range(K):
-            m1 = 0.0
-            for b in range(K):
-                for c in range(K):
-                    e = E[a, b, c]
-                    grad_w[y] += e * t[a] * t[b] * t[c]
-                    m1 += e * t[b] * t[c]
-            # E is symmetric, so the three axis contributions coincide
-            grad_T[y, a] = 6.0 * w[y] * m1
-        grad_w[y] *= 2.0
-
-    g = np.empty(K + K * K)
-    dot = 0.0
-    for y in range(K):
-        dot += w[y] * grad_w[y]
-    for y in range(K):
-        g[y] = w[y] * (grad_w[y] - dot)
-    for y in range(K):
-        rdot = 0.0
-        for a in range(K):
-            rdot += T[y, a] * grad_T[y, a]
-        for a in range(K):
-            g[K + y * K + a] = T[y, a] * (grad_T[y, a] - rdot)
-    return f, g
+def _softmax_jac(P):
+    """S[..., a, i] = d P[..., a] / d logit[..., i] = P_a (delta_ai - P_i)."""
+    return P[..., :, None] * (np.eye(P.shape[-1]) - P[..., None, :])
 
 
-@njit(cache=True)
-def _sym_residual_jac(theta, target, K):
-    """Residual vector and Jacobian wrt theta for the tied-factor model."""
-    u = theta[:K]
-    V = theta[K:].reshape(K, K)
-    w = _softmax(u)
-    T = _row_softmax(V)
-    n = K * K * K
-    dim = K + K * K
+def _residual_jac(theta, target, K, dims, tied):
+    """Residual (model - target, flattened) and its Jacobian wrt theta.
 
-    r = np.empty(n)
-    model = np.zeros((K, K, K))
-    for y in range(K):
-        t = T[y]
-        for a in range(K):
-            for b in range(K):
-                for c in range(K):
-                    model[a, b, c] += w[y] * t[a] * t[b] * t[c]
-    idx = 0
-    for a in range(K):
-        for b in range(K):
-            for c in range(K):
-                r[idx] = model[a, b, c] - target[a, b, c]
-                idx += 1
-
-    # dense partials wrt (w, T) first, then chain through the softmaxes;
-    # problem sizes are tiny so the dense intermediates are cheap
-    J = np.zeros((n, dim))
-    dmodel_dw = np.zeros((n, K))
-    dmodel_dT = np.zeros((n, K, K))
-    for y in range(K):
-        t = T[y]
-        idx = 0
-        for a in range(K):
-            for b in range(K):
-                for c in range(K):
-                    dmodel_dw[idx, y] = t[a] * t[b] * t[c]
-                    dmodel_dT[idx, y, a] += w[y] * t[b] * t[c]
-                    dmodel_dT[idx, y, b] += w[y] * t[a] * t[c]
-                    dmodel_dT[idx, y, c] += w[y] * t[a] * t[b]
-                    idx += 1
-    for i in range(n):
-        for y in range(K):
-            acc = 0.0
-            for z in range(K):
-                acc += dmodel_dw[i, z] * w[z] * ((1.0 if z == y else 0.0) - w[y])
-            J[i, y] = acc
-        for y in range(K):
-            for a in range(K):
-                acc = 0.0
-                for bcol in range(K):
-                    acc += (
-                        dmodel_dT[i, y, bcol]
-                        * T[y, bcol]
-                        * ((1.0 if bcol == a else 0.0) - T[y, a])
-                    )
-                J[i, K + y * K + a] = acc
-    return r, J
+    Tied fits take dims = (K,) and use the single factor on all three axes,
+    so their factor Jacobian is the sum of the three axis blocks.
+    """
+    w, mats = _split(theta, K, dims)
+    S = [_softmax_jac(M) for M in mats]
+    if tied:
+        mats, S = mats * 3, S * 3
+    A, B, C = mats
+    r = (np.einsum("y,ya,yb,yc->abc", w, A, B, C) - target).ravel()
+    n = r.size
+    blocks = [
+        np.einsum("yz,ya,yb,yc->abcz", _softmax_jac(w), A, B, C).reshape(n, K),
+        np.einsum("yai,y,yb,yc->abcyi", S[0], w, B, C).reshape(n, -1),
+        np.einsum("ybi,y,ya,yc->abcyi", S[1], w, A, C).reshape(n, -1),
+        np.einsum("yci,y,ya,yb->abcyi", S[2], w, A, B).reshape(n, -1),
+    ]
+    if tied:
+        blocks = [blocks[0], blocks[1] + blocks[2] + blocks[3]]
+    return r, np.concatenate(blocks, axis=1)
 
 
-@njit(cache=True)
-def _gen_value_grad(theta, target, K, k1, k2, k3):
-    """Value and gradient for three distinct factor matrices."""
-    u = theta[:K]
-    off = K
-    A = theta[off : off + K * k1].reshape(K, k1)
-    off += K * k1
-    B = theta[off : off + K * k2].reshape(K, k2)
-    off += K * k2
-    C = theta[off : off + K * k3].reshape(K, k3)
-    w = _softmax(u)
-    Am = _row_softmax(A)
-    Bm = _row_softmax(B)
-    Cm = _row_softmax(C)
-
-    E = -target.copy()
-    for y in range(K):
-        for a in range(k1):
-            for b in range(k2):
-                for c in range(k3):
-                    E[a, b, c] += w[y] * Am[y, a] * Bm[y, b] * Cm[y, c]
-    f = 0.0
-    for a in range(k1):
-        for b in range(k2):
-            for c in range(k3):
-                f += E[a, b, c] * E[a, b, c]
-
-    grad_w = np.zeros(K)
-    gA = np.zeros((K, k1))
-    gB = np.zeros((K, k2))
-    gC = np.zeros((K, k3))
-    for y in range(K):
-        for a in range(k1):
-            for b in range(k2):
-                for c in range(k3):
-                    e = E[a, b, c]
-                    pa, pb, pc = Am[y, a], Bm[y, b], Cm[y, c]
-                    grad_w[y] += 2.0 * e * pa * pb * pc
-                    gA[y, a] += 2.0 * w[y] * e * pb * pc
-                    gB[y, b] += 2.0 * w[y] * e * pa * pc
-                    gC[y, c] += 2.0 * w[y] * e * pa * pb
-
-    g = np.empty(theta.shape[0])
-    dot = 0.0
-    for y in range(K):
-        dot += w[y] * grad_w[y]
-    for y in range(K):
-        g[y] = w[y] * (grad_w[y] - dot)
-    off = K
-    for y in range(K):
-        rdot = 0.0
-        for a in range(k1):
-            rdot += Am[y, a] * gA[y, a]
-        for a in range(k1):
-            g[off + y * k1 + a] = Am[y, a] * (gA[y, a] - rdot)
-    off += K * k1
-    for y in range(K):
-        rdot = 0.0
-        for b in range(k2):
-            rdot += Bm[y, b] * gB[y, b]
-        for b in range(k2):
-            g[off + y * k2 + b] = Bm[y, b] * (gB[y, b] - rdot)
-    off += K * k2
-    for y in range(K):
-        rdot = 0.0
-        for c in range(k3):
-            rdot += Cm[y, c] * gC[y, c]
-        for c in range(k3):
-            g[off + y * k3 + c] = Cm[y, c] * (gC[y, c] - rdot)
-    return f, g
+def _value_grad(theta, target, K, dims, tied):
+    r, J = _residual_jac(theta, target, K, dims, tied)
+    return r @ r, 2.0 * (r @ J)
 
 
-@njit(cache=True)
-def _gen_residual_jac(theta, target, K, k1, k2, k3):
-    u = theta[:K]
-    off = K
-    A = theta[off : off + K * k1].reshape(K, k1)
-    off += K * k1
-    B = theta[off : off + K * k2].reshape(K, k2)
-    off += K * k2
-    C = theta[off : off + K * k3].reshape(K, k3)
-    w = _softmax(u)
-    Am = _row_softmax(A)
-    Bm = _row_softmax(B)
-    Cm = _row_softmax(C)
-    n = k1 * k2 * k3
-    dim = theta.shape[0]
-
-    r = np.empty(n)
-    idx = 0
-    for a in range(k1):
-        for b in range(k2):
-            for c in range(k3):
-                acc = -target[a, b, c]
-                for y in range(K):
-                    acc += w[y] * Am[y, a] * Bm[y, b] * Cm[y, c]
-                r[idx] = acc
-                idx += 1
-
-    dmodel_dw = np.zeros((n, K))
-    dA = np.zeros((n, K, k1))
-    dB = np.zeros((n, K, k2))
-    dC = np.zeros((n, K, k3))
-    idx = 0
-    for a in range(k1):
-        for b in range(k2):
-            for c in range(k3):
-                for y in range(K):
-                    pa, pb, pc = Am[y, a], Bm[y, b], Cm[y, c]
-                    dmodel_dw[idx, y] = pa * pb * pc
-                    dA[idx, y, a] = w[y] * pb * pc
-                    dB[idx, y, b] = w[y] * pa * pc
-                    dC[idx, y, c] = w[y] * pa * pb
-                idx += 1
-
-    J = np.zeros((n, dim))
-    for i in range(n):
-        for y in range(K):
-            acc = 0.0
-            for z in range(K):
-                acc += dmodel_dw[i, z] * w[z] * ((1.0 if z == y else 0.0) - w[y])
-            J[i, y] = acc
-        off = K
-        for y in range(K):
-            for a in range(k1):
-                acc = 0.0
-                for col in range(k1):
-                    acc += dA[i, y, col] * Am[y, col] * (
-                        (1.0 if col == a else 0.0) - Am[y, a]
-                    )
-                J[i, off + y * k1 + a] = acc
-        off += K * k1
-        for y in range(K):
-            for b in range(k2):
-                acc = 0.0
-                for col in range(k2):
-                    acc += dB[i, y, col] * Bm[y, col] * (
-                        (1.0 if col == b else 0.0) - Bm[y, b]
-                    )
-                J[i, off + y * k2 + b] = acc
-        off += K * k2
-        for y in range(K):
-            for c in range(k3):
-                acc = 0.0
-                for col in range(k3):
-                    acc += dC[i, y, col] * Cm[y, col] * (
-                        (1.0 if col == c else 0.0) - Cm[y, c]
-                    )
-                J[i, off + y * k3 + c] = acc
-    return r, J
-
-
-@njit(cache=True)
-def _descend_sym(theta, target, K, max_iter, gtol, ftol):
-    f, g = _sym_value_grad(theta, target, K)
+def _descend(theta, target, K, dims, tied):
+    f, g = _value_grad(theta, target, K, dims, tied)
     step = 1.0
-    for _ in range(max_iter):
-        gn2 = np.sum(g * g)
-        if np.sqrt(gn2) < gtol or f < ftol:
+    for _ in range(DESCENT_ITER):
+        gn2 = g @ g
+        if np.sqrt(gn2) < DESCENT_GTOL or f < DESCENT_FTOL:
             break
         step = min(step * 2.0, 1e6)
-        accepted = False
         while step >= 1e-18:
             nt = theta - step * g
-            nf, ng = _sym_value_grad(nt, target, K)
+            nf, ng = _value_grad(nt, target, K, dims, tied)
             if nf <= f - 1e-4 * step * gn2:
                 theta, f, g = nt, nf, ng
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:
             break
-    return theta, f
+    return theta
 
 
-@njit(cache=True)
-def _polish_sym(theta, target, K, max_iter):
+def _polish(theta, target, K, dims, tied, max_iter):
     """Levenberg-Marquardt refinement to machine precision."""
     lam = 1e-6
-    r, J = _sym_residual_jac(theta, target, K)
-    f = np.sum(r * r)
-    dim = theta.shape[0]
+    r, J = _residual_jac(theta, target, K, dims, tied)
+    f = r @ r
+    eye = np.eye(theta.size)
     for _ in range(max_iter):
         JtJ = J.T @ J
         Jtr = J.T @ r
         improved = False
         for _ in range(40):
-            H = JtJ + lam * np.eye(dim)
-            delta = np.linalg.solve(H, Jtr)
-            nt = theta - delta
-            nr, nJ = _sym_residual_jac(nt, target, K)
-            nf = np.sum(nr * nr)
+            nt = theta - np.linalg.solve(JtJ + lam * eye, Jtr)
+            nr, nJ = _residual_jac(nt, target, K, dims, tied)
+            nf = nr @ nr
             if nf < f:
                 theta, r, J, f = nt, nr, nJ, nf
                 lam = max(lam * 0.3, 1e-12)
@@ -374,105 +116,32 @@ def _polish_sym(theta, target, K, max_iter):
                 break
         if not improved or f < 1e-30:
             break
-    return theta, f
+    return theta, float(f)
 
 
-@njit(cache=True)
-def _descend_gen(theta, target, K, k1, k2, k3, max_iter, gtol, ftol):
-    f, g = _gen_value_grad(theta, target, K, k1, k2, k3)
-    step = 1.0
-    for _ in range(max_iter):
-        gn2 = np.sum(g * g)
-        if np.sqrt(gn2) < gtol or f < ftol:
-            break
-        step = min(step * 2.0, 1e6)
-        accepted = False
-        while step >= 1e-18:
-            nt = theta - step * g
-            nf, ng = _gen_value_grad(nt, target, K, k1, k2, k3)
-            if nf <= f - 1e-4 * step * gn2:
-                theta, f, g = nt, nf, ng
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-    return theta, f
+def _fit(target, K, dims, tied, theta0):
+    target = np.asarray(target, dtype=np.float64)
+    theta = _descend(np.asarray(theta0, dtype=np.float64), target, K, dims, tied)
+    theta, f = _polish(theta, target, K, dims, tied, POLISH_ITER)
+    w, mats = _split(theta, K, dims)
+    return theta, f, w, mats
 
 
-@njit(cache=True)
-def _polish_gen(theta, target, K, k1, k2, k3, max_iter):
-    lam = 1e-6
-    r, J = _gen_residual_jac(theta, target, K, k1, k2, k3)
-    f = np.sum(r * r)
-    dim = theta.shape[0]
-    for _ in range(max_iter):
-        JtJ = J.T @ J
-        Jtr = J.T @ r
-        improved = False
-        for _ in range(40):
-            H = JtJ + lam * np.eye(dim)
-            delta = np.linalg.solve(H, Jtr)
-            nt = theta - delta
-            nr, nJ = _gen_residual_jac(nt, target, K, k1, k2, k3)
-            nf = np.sum(nr * nr)
-            if nf < f:
-                theta, r, J, f = nt, nr, nJ, nf
-                lam = max(lam * 0.3, 1e-12)
-                improved = True
-                break
-            lam *= 10.0
-            if lam > 1e12:
-                break
-        if not improved or f < 1e-30:
-            break
-    return theta, f
-
-
-def fit_symmetric(target, K, theta0, max_iter=5000, gtol=1e-10, polish_iter=60):
+def fit_symmetric(target, K, theta0):
     """One local solve of the tied-factor problem from theta0.
 
     Returns (theta, squared residual, prior, T).
     """
-    target = np.ascontiguousarray(target, dtype=np.float64)
-    theta, _ = _descend_sym(
-        np.ascontiguousarray(theta0, dtype=np.float64), target, K, max_iter, gtol, 1e-26
-    )
-    theta, f = _polish_sym(theta, target, K, polish_iter)
-    w = _np_softmax(theta[:K])
-    T = _np_row_softmax(theta[K:].reshape(K, K))
-    return theta, float(f), w, T
+    theta, f, w, mats = _fit(target, K, (K,), True, theta0)
+    return theta, f, w, mats[0]
 
 
-def fit_general(target, K, dims, theta0, max_iter=5000, gtol=1e-10, polish_iter=60):
+def fit_general(target, K, dims, theta0):
     """One local solve of the three-factor problem from theta0.
 
     Returns (theta, squared residual, prior, [A, B, C]).
     """
-    k1, k2, k3 = dims
-    target = np.ascontiguousarray(target, dtype=np.float64)
-    theta, _ = _descend_gen(
-        np.ascontiguousarray(theta0, dtype=np.float64),
-        target, K, k1, k2, k3, max_iter, gtol, 1e-26,
-    )
-    theta, f = _polish_gen(theta, target, K, k1, k2, k3, polish_iter)
-    w = _np_softmax(theta[:K])
-    off = K
-    mats = []
-    for kk in (k1, k2, k3):
-        mats.append(_np_row_softmax(theta[off : off + K * kk].reshape(K, kk)))
-        off += K * kk
-    return theta, float(f), w, mats
-
-
-def _np_softmax(u):
-    e = np.exp(u - u.max())
-    return e / e.sum()
-
-
-def _np_row_softmax(V):
-    e = np.exp(V - V.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    return _fit(target, K, dims, False, theta0)
 
 
 def refine_boundary(target, w, mats, tied, tol=1e-5, iters=100):
@@ -480,94 +149,29 @@ def refine_boundary(target, w, mats, tied, tol=1e-5, iters=100):
 
     Row-wise softmax can only approach zero entries asymptotically, which
     stalls convergence when the true prior or factor matrices contain exact
-    zeros. This pins entries below ``tol`` to zero and re-runs a
-    Levenberg-Marquardt fit over the remaining entries (softmax restricted to
-    the surviving positions), where convergence is quadratic again.
+    zeros. This pins entries below ``tol`` to zero (logit -inf) and re-runs
+    the Levenberg-Marquardt polish over the remaining entries, where
+    convergence is quadratic again.
 
     Returns (squared residual, prior, factor list) or None when the solution
     has no near-zero entries to pin. The caller keeps the result only if it
     improves the residual.
     """
+    parts = [np.asarray(w, dtype=np.float64)]
+    parts += [np.asarray(M, dtype=np.float64) for M in mats]
+    keep = [p > tol for p in parts]
+    if all(k.all() for k in keep):
+        return None
+    # every softmax row needs one finite logit, or it would be all -inf
+    if not all(k.any(axis=-1).all() for k in keep):
+        return None
+    with np.errstate(divide="ignore"):
+        theta = np.concatenate(
+            [np.log(np.where(k, p, 0.0)).ravel() for p, k in zip(parts, keep)]
+        )
+    K = parts[0].size
+    dims = tuple(M.shape[1] for M in parts[1:])
     target = np.asarray(target, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    mats = [np.asarray(M, dtype=np.float64) for M in mats]
-    mask_w = w > tol
-    masks = [M > tol for M in mats]
-    if mask_w.all() and all(m.all() for m in masks):
-        return None
-    if not mask_w.any() or any(not m[i].any() for m in masks for i in range(m.shape[0])):
-        return None
-
-    blocks = [("w", None, mask_w)]
-    for mi, (M, msk) in enumerate(zip(mats, masks)):
-        for i in range(M.shape[0]):
-            blocks.append(("m", (mi, i), msk[i]))
-
-    def pack():
-        parts = [np.log(np.maximum(w[mask_w], 1e-300))]
-        for M, msk in zip(mats, masks):
-            for i in range(M.shape[0]):
-                parts.append(np.log(np.maximum(M[i, msk[i]], 1e-300)))
-        return np.concatenate(parts)
-
-    def unpack(theta):
-        pos = 0
-        nw = int(mask_w.sum())
-        chunk = theta[pos : pos + nw]
-        pos += nw
-        e = np.exp(chunk - chunk.max())
-        w2 = np.zeros_like(w)
-        w2[mask_w] = e / e.sum()
-        out = []
-        for M, msk in zip(mats, masks):
-            M2 = np.zeros_like(M)
-            for i in range(M.shape[0]):
-                k = int(msk[i].sum())
-                chunk = theta[pos : pos + k]
-                pos += k
-                e = np.exp(chunk - chunk.max())
-                M2[i, msk[i]] = e / e.sum()
-            out.append(M2)
-        return w2, out
-
-    def resid(theta):
-        w2, out = unpack(theta)
-        if tied:
-            model = np.einsum("y,ya,yb,yc->abc", w2, out[0], out[0], out[0])
-        else:
-            model = np.einsum("y,ya,yb,yc->abc", w2, out[0], out[1], out[2])
-        return (model - target).ravel()
-
-    theta = pack()
-    r = resid(theta)
-    f = float(r @ r)
-    n = theta.size
-    lam = 1e-6
-    h = 1e-6
-    eye = np.eye(n)
-    for _ in range(iters):
-        J = np.empty((r.size, n))
-        for j in range(n):
-            tp = theta.copy()
-            tp[j] += h
-            tm = theta.copy()
-            tm[j] -= h
-            J[:, j] = (resid(tp) - resid(tm)) / (2.0 * h)
-        g = J.T @ r
-        A = J.T @ J
-        improved = False
-        for _ in range(40):
-            delta = np.linalg.solve(A + lam * eye, -g)
-            tn = theta + delta
-            rn = resid(tn)
-            fn = float(rn @ rn)
-            if fn < f:
-                theta, r, f = tn, rn, fn
-                lam = max(lam * 0.3, 1e-12)
-                improved = True
-                break
-            lam = min(lam * 10.0, 1e12)
-        if not improved or f < 1e-30:
-            break
-    w2, out = unpack(theta)
+    theta, f = _polish(theta, target, K, dims, tied, iters)
+    w2, out = _split(theta, K, dims)
     return f, w2, out

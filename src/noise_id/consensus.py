@@ -154,7 +154,6 @@ def estimate(
     joint: JointTensor,
     restarts: int = 20,
     seed=0,
-    max_iter: int = 5000,
     residual_target: float = 1e-10,
 ) -> EstimateResult:
     """Recover (prior, T) from an order-3 symmetric joint tensor.
@@ -182,7 +181,7 @@ def estimate(
     for r in range(restarts):
         rng = np.random.default_rng((seed, r))
         theta0 = rng.standard_normal(dim)
-        _, f, w, T = _kernels.fit_symmetric(target, K, theta0, max_iter=max_iter)
+        _, f, w, T = _kernels.fit_symmetric(target, K, theta0)
         per_restart.append(math.sqrt(f))
         used += 1
         if best is None or f < best[0]:

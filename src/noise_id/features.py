@@ -182,7 +182,6 @@ def fit_three_view(
     K: int,
     restarts: int = 20,
     seed=0,
-    max_iter: int = 5000,
     residual_target: float = 1e-8,
 ) -> FeatureEstimateResult:
     """Fit (prior, A, B, C) to an order-3 joint with distinct factors.
@@ -204,7 +203,7 @@ def fit_three_view(
     for r in range(restarts):
         rng = np.random.default_rng((seed, r))
         theta0 = rng.standard_normal(dim)
-        _, f, w, mats = _kernels.fit_general(target, K, dims, theta0, max_iter=max_iter)
+        _, f, w, mats = _kernels.fit_general(target, K, dims, theta0)
         used += 1
         if best is None or f < best[0]:
             best = (f, w, mats)

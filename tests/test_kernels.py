@@ -1,14 +1,12 @@
-"""Gradient/Jacobian correctness and numba-vs-numpy backend parity."""
-
-import json
-import os
-import subprocess
-import sys
+"""Residual/Jacobian correctness of the solver kernel, local fits and the
+boundary refinement."""
 
 import numpy as np
 import pytest
 
 from noise_id import _kernels
+
+from .oracles import _gen_residual_jac, _sym_residual_jac
 
 
 def num_grad(fun, theta, h=1e-6):
@@ -28,40 +26,62 @@ def sym_target(K, seed):
     return np.einsum("y,ya,yb,yc->abc", w, T, T, T)
 
 
+def sym_residual_jac(theta, target, K):
+    return _kernels._residual_jac(theta, target, K, (K,), True)
+
+
+class TestResidualJacobian:
+    @pytest.mark.parametrize("K", [2, 3, 5])
+    def test_tied_matches_scalar_oracle(self, K):
+        target = sym_target(K, 10 + K)
+        theta = np.random.default_rng(K).standard_normal(K + K * K)
+        r, J = sym_residual_jac(theta, target, K)
+        r0, J0 = _sym_residual_jac(theta, target, K)
+        assert np.abs(r - r0).max() < 1e-14
+        assert np.abs(J - J0).max() < 1e-14
+
+    @pytest.mark.parametrize("K,dims", [(2, (2, 3, 2)), (3, (4, 4, 3))])
+    def test_general_matches_scalar_oracle(self, K, dims):
+        rng = np.random.default_rng(sum(dims))
+        w = rng.dirichlet(np.ones(K))
+        mats = [rng.dirichlet(np.ones(d), size=K) for d in dims]
+        target = np.einsum("y,ya,yb,yc->abc", w, *mats)
+        theta = rng.standard_normal(K + K * sum(dims))
+        r, J = _kernels._residual_jac(theta, target, K, dims, False)
+        r0, J0 = _gen_residual_jac(theta, target, K, *dims)
+        assert np.abs(r - r0).max() < 1e-14
+        assert np.abs(J - J0).max() < 1e-14
+
+
 class TestSymmetricKernel:
     @pytest.mark.parametrize("K", [2, 3])
     def test_gradient_matches_finite_differences(self, K):
         target = sym_target(K, 0)
         rng = np.random.default_rng(1)
         theta = rng.standard_normal(K + K * K)
-        _, grad = _kernels._sym_value_grad(theta, target, K)
-        num = num_grad(lambda t: _kernels._sym_value_grad(t, target, K)[0], theta)
-        assert np.abs(grad - num).max() < 1e-7
+        r, J = sym_residual_jac(theta, target, K)
+
+        def value(t):
+            rt = sym_residual_jac(t, target, K)[0]
+            return rt @ rt
+
+        assert np.abs(2.0 * (r @ J) - num_grad(value, theta)).max() < 1e-7
 
     @pytest.mark.parametrize("K", [2, 3])
     def test_jacobian_matches_finite_differences(self, K):
         target = sym_target(K, 2)
         rng = np.random.default_rng(3)
         theta = rng.standard_normal(K + K * K)
-        r, J = _kernels._sym_residual_jac(theta, target, K)
+        r, J = sym_residual_jac(theta, target, K)
         for j in range(theta.size):
             tp, tm = theta.copy(), theta.copy()
             tp[j] += 1e-6
             tm[j] -= 1e-6
             col = (
-                _kernels._sym_residual_jac(tp, target, K)[0]
-                - _kernels._sym_residual_jac(tm, target, K)[0]
+                sym_residual_jac(tp, target, K)[0]
+                - sym_residual_jac(tm, target, K)[0]
             ) / 2e-6
             assert np.abs(J[:, j] - col).max() < 1e-7
-
-    def test_residual_consistent_with_value(self):
-        K = 3
-        target = sym_target(K, 4)
-        rng = np.random.default_rng(5)
-        theta = rng.standard_normal(K + K * K)
-        f, _ = _kernels._sym_value_grad(theta, target, K)
-        r, _ = _kernels._sym_residual_jac(theta, target, K)
-        assert f == pytest.approx(float(r @ r), rel=1e-12)
 
     def test_fit_reaches_machine_precision(self):
         K = 2
@@ -81,11 +101,13 @@ class TestGeneralKernel:
         mats = [rng.dirichlet(np.ones(d), size=K) for d in dims]
         target = np.einsum("y,ya,yb,yc->abc", w, *mats)
         theta = rng.standard_normal(K + K * sum(dims))
-        _, grad = _kernels._gen_value_grad(theta, target, K, *dims)
-        num = num_grad(
-            lambda t: _kernels._gen_value_grad(t, target, K, *dims)[0], theta
-        )
-        assert np.abs(grad - num).max() < 1e-7
+        r, J = _kernels._residual_jac(theta, target, K, dims, False)
+
+        def value(t):
+            rt = _kernels._residual_jac(t, target, K, dims, False)[0]
+            return rt @ rt
+
+        assert np.abs(2.0 * (r @ J) - num_grad(value, theta)).max() < 1e-7
 
     def test_fit_recovers_tensor(self):
         K, dims = 2, (2, 2, 2)
@@ -119,47 +141,32 @@ class TestBoundaryRefinement:
         target = np.einsum("y,ya,yb,yc->abc", w, T, T, T)
         assert _kernels.refine_boundary(target, w, [T], tied=True) is None
 
+    @pytest.mark.parametrize("w", [[0.5, 0.3, 0.2], [0.6, 0.4, 0.0]])
+    def test_general_pins_zero_pattern(self, w):
+        K = 3
+        w = np.array(w)
+        A = np.array([[0.7, 0.3, 0.0], [0.1, 0.6, 0.3], [0.2, 0.2, 0.6]])
+        B = np.random.default_rng(11).dirichlet(np.ones(4), size=K)
+        C = np.array([[0.8, 0.1, 0.1], [0.1, 0.7, 0.2], [0.2, 0.1, 0.7]])
+        target = np.einsum("y,ya,yb,yc->abc", w, A, B, C)
+        # an interior point near the truth, as a softmax fit would leave it
+        rng = np.random.default_rng(12)
 
-BACKEND_SCRIPT = """
-import json
-import numpy as np
-from noise_id import _kernels
+        def nudge(P):
+            P = np.maximum(P, 1e-6) * (1.0 + 1e-4 * rng.standard_normal(P.shape))
+            return P / P.sum(axis=-1, keepdims=True)
 
-K = 3
-rng = np.random.default_rng(0)
-w = rng.dirichlet(np.ones(K))
-T = rng.dirichlet(np.ones(K), size=K)
-target = np.einsum("y,ya,yb,yc->abc", w, T, T, T)
-theta0 = np.random.default_rng(1).standard_normal(K + K * K)
-theta, f, w2, T2 = _kernels.fit_symmetric(target, K, theta0)
-print(json.dumps({
-    "use_numba": _kernels.USE_NUMBA,
-    "f": f,
-    "w": w2.tolist(),
-    "T": T2.tolist(),
-}))
-"""
-
-
-def run_backend(no_numba):
-    env = dict(os.environ)
-    env["NOISE_ID_NO_NUMBA"] = "1" if no_numba else ""
-    out = subprocess.run(
-        [sys.executable, "-c", BACKEND_SCRIPT],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    return json.loads(out.stdout)
-
-
-class TestBackendParity:
-    def test_numpy_fallback_matches_numba(self):
-        fast = run_backend(no_numba=False)
-        slow = run_backend(no_numba=True)
-        assert fast["use_numba"] is True
-        assert slow["use_numba"] is False
-        assert np.allclose(fast["T"], slow["T"], atol=1e-10)
-        assert np.allclose(fast["w"], slow["w"], atol=1e-10)
-        assert abs(fast["f"] - slow["f"]) < 1e-18
+        start = [nudge(P) for P in (w, A, B, C)]
+        # a 0 * inf anywhere on the pinned logits would raise here
+        with np.errstate(invalid="raise"):
+            f, w2, out = _kernels.refine_boundary(target, start[0], start[1:], tied=False)
+            with np.errstate(divide="ignore"):
+                theta = np.concatenate([np.log(P).ravel() for P in [w2, *out]])
+            r, J = _kernels._residual_jac(theta, target, K, (3, 4, 3), False)
+        assert out[0][0, 2] == 0.0
+        assert f < 1e-25
+        assert not np.isnan(r).any() and not np.isnan(J).any()
+        assert r @ r == pytest.approx(f, rel=1e-6, abs=1e-30)
+        pinned = np.flatnonzero(np.isneginf(theta))
+        assert (J[:, pinned] == 0.0).all()
+        np.testing.assert_array_equal(w2 == 0.0, w == 0.0)
