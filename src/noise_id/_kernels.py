@@ -12,16 +12,26 @@ squared residual (gradient 2 J^T r), then a Levenberg-Marquardt polish that
 brings exact-tensor fits down to machine precision. `refine_boundary` pins
 near-zero entries to a logit of -inf, where the softmax value and the
 Jacobian column are exactly 0, and reruns the same polish on the rest.
+`solve` runs seeded local fits, refining each stalled one at once, until one
+meets the early-exit rule; tied and distinct fits share it.
 """
 
 from __future__ import annotations
 
+import math
+import warnings
+
 import numpy as np
+
+from .errors import ConvergenceWarning
 
 DESCENT_ITER = 5000
 DESCENT_GTOL = 1e-10
 DESCENT_FTOL = 1e-26
 POLISH_ITER = 60
+BOUNDARY_TOL = 1e-5
+BOUNDARY_ITER = 100
+EARLY_EXIT = 1e-2
 
 
 def _softmax(x):
@@ -120,8 +130,7 @@ def _polish(theta, target, K, dims, tied, max_iter):
 
 
 def _fit(target, K, dims, tied, theta0):
-    target = np.asarray(target, dtype=np.float64)
-    theta = _descend(np.asarray(theta0, dtype=np.float64), target, K, dims, tied)
+    theta = _descend(theta0, target, K, dims, tied)
     theta, f = _polish(theta, target, K, dims, tied, POLISH_ITER)
     w, mats = _split(theta, K, dims)
     return theta, f, w, mats
@@ -144,22 +153,21 @@ def fit_general(target, K, dims, theta0):
     return _fit(target, K, dims, False, theta0)
 
 
-def refine_boundary(target, w, mats, tied, tol=1e-5, iters=100):
+def refine_boundary(target, w, mats, tied):
     """Re-polish a near-boundary solution with its zero pattern pinned.
 
     Row-wise softmax can only approach zero entries asymptotically, which
     stalls convergence when the true prior or factor matrices contain exact
-    zeros. This pins entries below ``tol`` to zero (logit -inf) and re-runs
-    the Levenberg-Marquardt polish over the remaining entries, where
+    zeros. This pins entries below BOUNDARY_TOL to zero (logit -inf) and
+    re-runs the Levenberg-Marquardt polish over the remaining entries, where
     convergence is quadratic again.
 
     Returns (squared residual, prior, factor list) or None when the solution
     has no near-zero entries to pin. The caller keeps the result only if it
     improves the residual.
     """
-    parts = [np.asarray(w, dtype=np.float64)]
-    parts += [np.asarray(M, dtype=np.float64) for M in mats]
-    keep = [p > tol for p in parts]
+    parts = [w, *mats]
+    keep = [p > BOUNDARY_TOL for p in parts]
     if all(k.all() for k in keep):
         return None
     # every softmax row needs one finite logit, or it would be all -inf
@@ -171,7 +179,41 @@ def refine_boundary(target, w, mats, tied, tol=1e-5, iters=100):
         )
     K = parts[0].size
     dims = tuple(M.shape[1] for M in parts[1:])
-    target = np.asarray(target, dtype=np.float64)
-    theta, f = _polish(theta, target, K, dims, tied, iters)
+    theta, f = _polish(theta, target, K, dims, tied, BOUNDARY_ITER)
     w2, out = _split(theta, K, dims)
     return f, w2, out
+
+
+def solve(target, K, dims, tied, restarts, seed, residual_target):
+    """Multi-start fit of a prior and factors (tied: dims = (K,)).
+
+    Restart r runs `fit_symmetric` or `fit_general` from logits drawn from
+    default_rng((seed, r)), then `refine_boundary` when its residual is above
+    residual_target. The first restart below EARLY_EXIT * residual_target**2
+    ends the search. Returns the best (squared residual, prior, factor list)
+    and every restart's residual, measured after its refine.
+    """
+    best, per_restart = None, []
+    for r in range(restarts):
+        theta0 = np.random.default_rng((seed, r)).standard_normal(K + K * sum(dims))
+        if tied:
+            _, f, w, T = fit_symmetric(target, K, theta0)
+            mats = [T]
+        else:
+            _, f, w, mats = fit_general(target, K, dims, theta0)
+        if f > residual_target**2:
+            refined = refine_boundary(target, w, mats, tied)
+            if refined is not None and refined[0] < f:
+                f, w, mats = refined
+        per_restart.append(math.sqrt(f))
+        if best is None or f < best[0]:
+            best = (f, w, mats)
+        if f < EARLY_EXIT * residual_target**2:
+            break
+    if best[0] > residual_target**2:
+        warnings.warn(
+            f"fit did not reach residual {residual_target:.1e} after {len(per_restart)} "
+            f"restarts (best {math.sqrt(best[0]):.3e}); returning best effort",
+            ConvergenceWarning,
+        )
+    return (*best, per_restart)

@@ -37,6 +37,42 @@ SCENARIO_FIELDS = {
 NOISE_MODELS = {"asymmetric", "instance", "part_dependent", "explicit"}
 
 
+_REQUIRED = object()
+
+
+def _read_json(path):
+    try:
+        return json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        raise ValidationError(f"{path}: no such file") from None
+    except json.JSONDecodeError as e:
+        raise ValidationError(f"{path}:{e.lineno}: invalid JSON: {e.msg}") from None
+
+
+def _field(path, doc, key, cast, default=_REQUIRED, section=""):
+    """cast(doc[key]), or default when the key is absent or null. A missing
+    required field, or a value that cast rejects, raises ValidationError
+    naming the file and the field."""
+    name = f"{section}.{key}" if section else key
+    value = doc.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ValidationError(f"{path}: missing required field '{name}'")
+        return default
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ValidationError(f"{path}: field '{name}': {e}") from None
+
+
+def _floats(v):
+    return np.asarray(v, dtype=float)
+
+
+def _ints(v):
+    return v if isinstance(v, int) else [int(c) for c in v]
+
+
 class ScenarioFile:
     """Validated view of a scenario JSON document."""
 
@@ -46,16 +82,16 @@ class ScenarioFile:
         unknown = set(doc) - SCENARIO_FIELDS
         if unknown:
             raise ValidationError(f"{path}: unknown fields {sorted(unknown)}")
-        if "K" not in doc:
-            raise ValidationError(f"{path}: missing required field 'K'")
-        self.K = int(doc["K"])
+        self.K = _field(path, doc, "K", int)
+        if self.K < 1:
+            raise ValidationError(f"{path}: field 'K' must be >= 1")
         self.seed = doc.get("seed")
-        self.n = int(doc.get("n", 0)) or None
-        self.p = int(doc.get("p", 0)) or None
+        self.n = _field(path, doc, "n", int, 0) or None
+        self.p = _field(path, doc, "p", int, 0) or None
         self.path = path
 
-        prior = doc.get("prior")
-        self.prior = Prior(prior) if prior is not None else Prior(np.full(self.K, 1.0 / self.K))
+        uniform = np.full(self.K, 1.0 / self.K)
+        self.prior = Prior(_field(path, doc, "prior", _floats, uniform))
         if self.prior.K != self.K:
             raise ValidationError(f"{path}: prior length does not match K")
 
@@ -65,15 +101,21 @@ class ScenarioFile:
                 f"{path}: noise_model.type must be one of {sorted(NOISE_MODELS)}"
             )
         self.noise_model = nm
+        if nm["type"] in ("asymmetric", "instance"):
+            self.eps = _field(path, nm, "eps", float, section="noise_model")
+        if nm["type"] == "instance":
+            self.S = _field(path, nm, "S", int, 10, section="noise_model")
 
         self.T = None
         if nm["type"] == "asymmetric":
-            self.T = noisegen.asymmetric_T(self.K, float(nm["eps"]))
+            self.T = noisegen.asymmetric_T(self.K, self.eps)
         elif nm["type"] == "part_dependent":
-            pm = noisegen.PartModel(tuple(np.asarray(t, float) for t in nm["parts"]))
-            self.T = noisegen.part_dependent_T(np.asarray(nm["weights"], float), pm)
+            parts = _field(path, nm, "parts", lambda v: tuple(map(_floats, v)),
+                           section="noise_model")
+            weights = _field(path, nm, "weights", _floats, section="noise_model")
+            self.T = noisegen.part_dependent_T(weights, noisegen.PartModel(parts))
         elif doc.get("T") is not None:
-            self.T = TransitionMatrix(np.asarray(doc["T"], dtype=float))
+            self.T = TransitionMatrix(_field(path, doc, "T", _floats))
         # a missing T is only an error for commands that need one; scenario()
         # raises then
         if self.T is not None and self.T.K != self.K:
@@ -81,12 +123,22 @@ class ScenarioFile:
 
         self.features = doc.get("features")
         if self.features is not None:
-            extra = set(self.features) - {"d_star", "cardinalities", "min_kruskal"}
+            fs = self.features
+            if not isinstance(fs, dict):
+                raise ValidationError(f"{path}: features must be a JSON object")
+            extra = set(fs) - {"d_star", "cardinalities", "min_kruskal"}
             if extra:
                 raise ValidationError(f"{path}: unknown feature fields {sorted(extra)}")
+            self.d_star = _field(path, fs, "d_star", int, section="features")
+            self.cardinalities = _field(
+                path, fs, "cardinalities", _ints, 2, section="features"
+            )
+            self.min_kruskal = _field(path, fs, "min_kruskal", int, 2, section="features")
         self.groups = doc.get("groups")
-        if self.groups is not None and "count" not in self.groups:
-            raise ValidationError(f"{path}: groups requires field 'count'")
+        if self.groups is not None:
+            if not isinstance(self.groups, dict):
+                raise ValidationError(f"{path}: groups must be a JSON object")
+            self.group_count = _field(path, self.groups, "count", int, section="groups")
 
     def scenario(self) -> Scenario:
         if self.T is None:
@@ -95,25 +147,17 @@ class ScenarioFile:
 
 
 def load_scenario(path) -> ScenarioFile:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ValidationError(f"{path}: no such file")
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"{path}:{e.lineno}: invalid JSON: {e.msg}")
-    return ScenarioFile(doc, str(path))
+    return ScenarioFile(_read_json(path), str(path))
 
 
 def load_matrix(path) -> np.ndarray:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ValidationError(f"{path}: no such file")
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"{path}:{e.lineno}: invalid JSON: {e.msg}")
+    doc = _read_json(path)
     if isinstance(doc, dict) and "T" in doc:
         doc = doc["T"]
-    return np.asarray(doc, dtype=float)
+    try:
+        return _floats(doc)
+    except (TypeError, ValueError) as e:
+        raise ValidationError(f"{path}: not a numeric matrix: {e}") from None
 
 
 def emit(report: dict, args) -> None:
@@ -175,9 +219,9 @@ def cmd_check(args) -> int:
             raise ValidationError("group mode requires a 'features' section")
         fm = features.gen_feature_model(
             sf.K,
-            int(sf.features["d_star"]),
-            sf.features.get("cardinalities", 2),
-            int(sf.features.get("min_kruskal", 2)),
+            sf.d_star,
+            sf.cardinalities,
+            sf.min_kruskal,
             seed=_require_seed(args, sf),
         )
         report = identifiability.check_group_features(
@@ -189,14 +233,14 @@ def cmd_check(args) -> int:
                 "unknown-groups mode requires 'features' and 'groups' sections"
             )
         report = identifiability.check_unknown_groups(
-            int(sf.groups["count"]), sf.K, int(sf.features["d_star"])
+            sf.group_count, sf.K, sf.d_star
         )
     else:  # generic
         if sf.features is None:
             raise ValidationError("generic mode requires a 'features' section")
-        cards = sf.features.get("cardinalities", 2)
+        cards = sf.cardinalities
         if isinstance(cards, int):
-            cards = [cards] * int(sf.features["d_star"])
+            cards = [cards] * sf.d_star
         report = identifiability.check_generic(sf.K, cards)
     emit({"mode": mode, **report.to_dict()}, args)
     return EXIT_OK
@@ -209,11 +253,11 @@ def cmd_generate(args) -> int:
     nm = sf.noise_model
     if nm["type"] == "instance":
         rng = np.random.default_rng(seed)
-        S = int(nm.get("S", 10))
+        S = sf.S
         x = rng.standard_normal((n, S))
         y0 = (rng.random(n)[:, None] > np.cumsum(sf.prior.weights)[None, :]).sum(1)
         noisy, pvec = noisegen.instance_noise(
-            x, y0 + 1, float(nm["eps"]), sf.K, (seed, 1)
+            x, y0 + 1, sf.eps, sf.K, (seed, 1)
         )
         ds = NoisyDataset(
             y=y0 + 1,
@@ -222,7 +266,7 @@ def cmd_generate(args) -> int:
             x=x,
             provenance={
                 "model": "instance",
-                "eps": float(nm["eps"]),
+                "eps": sf.eps,
                 "S": S,
                 "K": sf.K,
                 "n": n,
@@ -314,23 +358,18 @@ def cmd_witness(args) -> int:
 
 
 def cmd_simulate_2nn(args) -> int:
-    try:
-        doc = json.loads(Path(args.params).read_text())
-    except FileNotFoundError:
-        raise ValidationError(f"{args.params}: no such file")
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"{args.params}:{e.lineno}: invalid JSON: {e.msg}")
+    path = args.params
+    doc = _read_json(path)
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path}: parameters must be a JSON object")
     seed = _require_seed(args)
-    try:
-        params = noisegen.UnstructuredParams(
-            lam=tuple(doc["lambda"]),
-            N=int(doc["N"]),
-            epsilon_close=float(doc.get("epsilon_close", 0.0)),
-            label_probs=np.asarray(doc["label_probs"], dtype=float),
-            T=TransitionMatrix(np.asarray(doc["T"], dtype=float)),
-        )
-    except KeyError as e:
-        raise ValidationError(f"{args.params}: missing field {e}")
+    params = noisegen.UnstructuredParams(
+        lam=_field(path, doc, "lambda", tuple),
+        N=_field(path, doc, "N", int),
+        epsilon_close=_field(path, doc, "epsilon_close", float, 0.0),
+        label_probs=_field(path, doc, "label_probs", _floats),
+        T=TransitionMatrix(_field(path, doc, "T", _floats)),
+    )
     rates = []
     thresholds = []
     for t in range(args.trials):
@@ -360,6 +399,13 @@ def cmd_bound(args) -> int:
     )
     emit({"lhs": lhs, "rhs": rhs, "holds": bool(holds)}, args)
     return EXIT_OK
+
+
+def _positive_int(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -401,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("source", help="dataset CSV, or scenario file with --exact")
     p.add_argument("--exact", action="store_true", help="fit the exact forward joint")
     p.add_argument("--from-features", action="store_true")
-    p.add_argument("--restarts", type=int, default=20)
+    p.add_argument("--restarts", type=_positive_int, default=20)
     p.add_argument("--truth", default=None, help="matrix file for error reporting")
     common(p)
     p.set_defaults(func=cmd_estimate)
@@ -415,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate-2nn", help="triplet process and 2-NN satisfaction")
     p.add_argument("params")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=100)
     common(p)
     p.set_defaults(func=cmd_simulate_2nn)
 

@@ -23,7 +23,6 @@ from .errors import (
     SearchExhaustedError,
     SingularConversionError,
     ValidationError,
-    ConvergenceWarning,
 )
 from .matrices import (
     Prior,
@@ -36,6 +35,9 @@ from .matrices import (
 from .identifiability import is_informative_label
 
 SYMMETRY_TOL = 1e-6
+WITNESS_MIN_DISTANCE = 0.01
+WITNESS_STATS_TOL = 1e-8
+WITNESS_GRID = 389
 
 
 @dataclass(frozen=True)
@@ -158,12 +160,12 @@ def estimate(
 ) -> EstimateResult:
     """Recover (prior, T) from an order-3 symmetric joint tensor.
 
-    Multi-start local search: simplex coordinates through softmax, gradient
-    descent with backtracking line search, then a Levenberg-Marquardt polish.
-    Restart r uses the seed (seed, r), so restarts may run in any order with
-    a deterministic best-of reduction. The output is aligned to a maximal
-    trace (diagonal dominance). `residual` is the Frobenius norm of the
-    remaining tensor mismatch.
+    Multi-start local search (`_kernels.solve`): restart r starts from the
+    seed (seed, r); one above residual_target is boundary-refined at once,
+    and the first one below 1e-2 * residual_target**2 ends the search. The
+    output is aligned to a maximal trace (diagonal dominance). `residual` is
+    the Frobenius norm of the remaining tensor mismatch, and
+    `per_restart_residuals` holds it for each restart after its refine.
     """
     if joint.p != 3:
         raise ValidationError("estimate requires an order-3 joint tensor")
@@ -172,35 +174,11 @@ def estimate(
         raise ValidationError(
             f"tensor is not symmetric (defect {defect:.3g}); symmetrize first"
         )
-    K = joint.K
-    target = np.asarray(joint.values)
-    dim = K + K * K
-    best = None
-    per_restart = []
-    used = 0
-    for r in range(restarts):
-        rng = np.random.default_rng((seed, r))
-        theta0 = rng.standard_normal(dim)
-        _, f, w, T = _kernels.fit_symmetric(target, K, theta0)
-        per_restart.append(math.sqrt(f))
-        used += 1
-        if best is None or f < best[0]:
-            best = (f, w, T)
-        if f < (residual_target**2) * 1e-2:
-            break
-    f, w, T = best
-    if f > residual_target**2:
-        refined = _kernels.refine_boundary(target, w, [T], tied=True)
-        if refined is not None and refined[0] < f:
-            f, w, T = refined[0], refined[1], refined[2][0]
+    f, w, (T,), per_restart = _kernels.solve(
+        joint.values, joint.K, (joint.K,), True, restarts, seed, residual_target
+    )
     residual = math.sqrt(f)
     converged = residual <= residual_target
-    if not converged:
-        warnings.warn(
-            f"estimate did not reach residual {residual_target:.1e} after "
-            f"{used} restarts (best {residual:.3e}); returning best effort",
-            ConvergenceWarning,
-        )
     perm, T_aligned = max_trace_permutation(T)
     w_aligned = w[list(perm)]
     scenario = Scenario(
@@ -215,7 +193,7 @@ def estimate(
     return EstimateResult(
         scenario=scenario,
         residual=residual,
-        restarts_used=used,
+        restarts_used=len(per_restart),
         converged=converged,
         permutation=perm,
         per_restart_residuals=per_restart,
@@ -239,9 +217,6 @@ def witness_p2(
     e_plus: float,
     e_minus: float,
     seed=0,
-    min_distance: float = 0.01,
-    stats_tol: float = 1e-8,
-    grid: int = 389,
 ) -> Witness:
     """Find distinct binary parameters with identical two-label statistics.
 
@@ -249,14 +224,16 @@ def witness_p2(
     (neg = 1 - 2*posterior + pos), so for each candidate prior gamma' the
     remaining two equations reduce to a quadratic in e_minus', solved in
     closed form. Candidate priors come from a seeded jittered grid over
-    (0.02, 0.98). Witnesses must be informative (e_plus' + e_minus' < 1) and
-    at max-abs distance >= min_distance from the input.
+    (0.02, 0.98) with WITNESS_GRID points. Witnesses must be informative
+    (e_plus' + e_minus' < 1), at max-abs distance >= WITNESS_MIN_DISTANCE
+    from the input, and match the statistics to WITNESS_STATS_TOL.
     """
     stats = binary_stats(gamma, e_plus, e_minus)
     p1, p2 = stats.posterior, stats.pos_consensus
     rng = np.random.default_rng(seed)
-    base = np.linspace(0.02, 0.98, grid)
-    gammas = np.clip(base + rng.uniform(-0.5, 0.5, grid) * (0.96 / grid), 0.02, 0.98)
+    base = np.linspace(0.02, 0.98, WITNESS_GRID)
+    jitter = rng.uniform(-0.5, 0.5, WITNESS_GRID) * (0.96 / WITNESS_GRID)
+    gammas = np.clip(base + jitter, 0.02, 0.98)
     best = None
     for g in gammas:
         c = 1.0 - g
@@ -279,13 +256,13 @@ def witness_p2(
             if ep + em >= 1.0 - 1e-9:
                 continue
             dist = max(abs(g - gamma), abs(ep - e_plus), abs(em - e_minus))
-            if dist < min_distance:
+            if dist < WITNESS_MIN_DISTANCE:
                 continue
             cand = binary_stats(g, ep, em)
             res = max(
                 abs(x - y) for x, y in zip(cand.as_tuple(), stats.as_tuple())
             )
-            if res > stats_tol:
+            if res > WITNESS_STATS_TOL:
                 continue
             if best is None or res < best.residual:
                 best = Witness(float(g), float(ep), float(em), float(res), float(dist))

@@ -94,30 +94,36 @@ class NoisyDataset:
     @classmethod
     def from_csv(cls, path, K: int | None = None) -> "NoisyDataset":
         path = Path(path)
-        with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            rows = list(reader)
+        try:
+            with path.open(newline="") as fh:
+                reader = csv.reader(fh)
+                header = next(reader, [])
+                rows = list(reader)
+        except FileNotFoundError:
+            raise ValidationError(f"{path}: no such file") from None
         if "y" not in header:
-            raise ValidationError("CSV is missing the clean-label column 'y'")
+            raise ValidationError(f"{path}: CSV is missing the clean-label column 'y'")
         x_cols = [i for i, h in enumerate(header) if h.startswith("x_")]
         r_cols = [i for i, h in enumerate(header) if h.startswith("r_")]
         yt_cols = [i for i, h in enumerate(header) if h.startswith("ytilde_")]
         y_col = header.index("y")
-        y = np.array([int(row[y_col]) for row in rows], dtype=np.int64)
-        noisy = np.array(
-            [[int(row[c]) for c in yt_cols] for row in rows], dtype=np.int64
-        )
-        x = (
-            np.array([[float(row[c]) for c in x_cols] for row in rows])
-            if x_cols
-            else None
-        )
-        r = (
-            np.array([[int(row[c]) for c in r_cols] for row in rows], dtype=np.int64)
-            if r_cols
-            else None
-        )
+        try:
+            y = np.array([int(row[y_col]) for row in rows], dtype=np.int64)
+            noisy = np.array(
+                [[int(row[c]) for c in yt_cols] for row in rows], dtype=np.int64
+            )
+            x = (
+                np.array([[float(row[c]) for c in x_cols] for row in rows])
+                if x_cols
+                else None
+            )
+            r = (
+                np.array([[int(row[c]) for c in r_cols] for row in rows], dtype=np.int64)
+                if r_cols
+                else None
+            )
+        except (ValueError, IndexError):
+            raise ValidationError(_bad_cell(path, header, rows)) from None
         sidecar = path.with_suffix(path.suffix + ".provenance.json")
         if sidecar.exists():
             provenance = json.loads(sidecar.read_text())
@@ -128,3 +134,22 @@ class NoisyDataset:
             K = int(provenance.get("K", hi))
             K = max(K, hi)
         return cls(y=y, noisy=noisy, K=K, provenance=provenance, x=x, r=r)
+
+
+def _bad_cell(path, header, rows) -> str:
+    """Where the first cell that from_csv cannot parse is: the file, the CSV
+    line and the column."""
+    cols = [
+        (i, name, float if name.startswith("x_") else int)
+        for i, name in enumerate(header)
+        if name == "y" or name.startswith(("x_", "r_", "ytilde_"))
+    ]
+    for line, row in enumerate(rows, start=2):
+        for i, name, cast in cols:
+            if i >= len(row):
+                return f"{path}:{line}: no cell for column '{name}'"
+            try:
+                cast(row[i])
+            except ValueError:
+                return f"{path}:{line}: column '{name}': cannot parse {row[i]!r}"
+    return f"{path}: cannot parse the CSV"

@@ -8,14 +8,13 @@ disentangled (conditionally independent given the hidden state) by design.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
 from .datasets import NoisyDataset
-from .errors import SearchExhaustedError, DimensionError, ValidationError, ConvergenceWarning
+from .errors import SearchExhaustedError, DimensionError, ValidationError
 from .identifiability import ObservationModel
 from .matrices import ObsMatrix, Prior, Scenario, TransitionMatrix, max_trace_permutation
 from .noisegen import _sample_rows
@@ -186,10 +185,12 @@ def fit_three_view(
 ) -> FeatureEstimateResult:
     """Fit (prior, A, B, C) to an order-3 joint with distinct factors.
 
-    The third axis is taken to be the noisy label, so C is returned as the
-    transition matrix and the shared hidden-state permutation is resolved by
-    maximizing its trace. Ambiguity can remain when no factor is diagonally
-    dominant; the trace convention is applied regardless.
+    Multi-start search as in `_kernels.solve`: a restart above
+    residual_target is refined at once; one below 1e-2 * residual_target**2
+    ends it. The third axis is taken to be the noisy label, so C is returned
+    as the transition matrix and the shared hidden-state permutation is
+    resolved by maximizing its trace. Ambiguity can remain when no factor is
+    diagonally dominant; the trace convention is applied regardless.
     """
     target = np.ascontiguousarray(tensor, dtype=np.float64)
     if target.ndim != 3:
@@ -197,31 +198,11 @@ def fit_three_view(
     dims = target.shape
     if dims[2] != K:
         raise ValidationError("third axis must have cardinality K (the noisy label)")
-    dim = K + K * sum(dims)
-    best = None
-    used = 0
-    for r in range(restarts):
-        rng = np.random.default_rng((seed, r))
-        theta0 = rng.standard_normal(dim)
-        _, f, w, mats = _kernels.fit_general(target, K, dims, theta0)
-        used += 1
-        if best is None or f < best[0]:
-            best = (f, w, mats)
-        if f < (residual_target**2) * 1e-4:
-            break
-    f, w, mats = best
-    if f > residual_target**2 and math.isfinite(residual_target):
-        refined = _kernels.refine_boundary(target, w, mats, tied=False)
-        if refined is not None and refined[0] < f:
-            f, w, mats = refined[0], refined[1], refined[2]
+    f, w, mats, per_restart = _kernels.solve(
+        target, K, dims, False, restarts, seed, residual_target
+    )
     residual = math.sqrt(f)
     converged = residual <= residual_target
-    if not converged:
-        warnings.warn(
-            f"feature fit stopped at residual {residual:.3e} "
-            f"(target {residual_target:.1e}); likely unidentifiable input",
-            ConvergenceWarning,
-        )
     perm, T_aligned = max_trace_permutation(mats[2])
     idx = list(perm)
     scenario = Scenario(
@@ -232,19 +213,18 @@ def fit_three_view(
         scenario=scenario,
         feature_models=feature_models,
         residual=residual,
-        restarts_used=used,
+        restarts_used=len(per_restart),
         converged=converged,
         permutation=perm,
     )
 
 
-def empirical_three_view(ds: NoisyDataset, feature_indices=(0, 1)) -> np.ndarray:
-    """Frequency tensor over (R_a, R_b, noisy label) from a dataset."""
+def empirical_three_view(ds: NoisyDataset) -> np.ndarray:
+    """Frequency tensor over (R_1, R_2, noisy label) from a dataset."""
     if ds.r is None or ds.r.shape[1] < 2:
         raise ValidationError("need at least 2 categorical feature columns")
-    a, b = feature_indices
-    ra = ds.r[:, a] - 1
-    rb = ds.r[:, b] - 1
+    ra = ds.r[:, 0] - 1
+    rb = ds.r[:, 1] - 1
     yt = ds.noisy[:, 0] - 1
     dims = (int(ra.max()) + 1, int(rb.max()) + 1, ds.K)
     counts = np.zeros(dims)
@@ -257,20 +237,19 @@ def estimate_from_features(
     K: int,
     restarts: int = 20,
     seed=0,
-    feature_indices=(0, 1),
 ) -> FeatureEstimateResult:
     """Recover T from two categorical features plus one noisy label.
 
-    Treats (R_a, R_b, noisy label) as the three observed variables of a
+    Treats (R_1, R_2, noisy label) as the three observed variables of a
     latent-class model and fits by moment matching on their empirical joint.
-    Using exactly two features keeps the problem in the three-observation
-    sweet spot; additional features can be selected via feature_indices.
+    Using exactly the first two features keeps the problem in the
+    three-observation sweet spot.
     """
     if ds.r is None or ds.r.shape[1] < 2 or ds.p < 1:
         raise ValidationError(
             "estimate_from_features needs at least 2 feature columns and a noisy label"
         )
-    tensor = empirical_three_view(ds, feature_indices)
+    tensor = empirical_three_view(ds)
     # sampled joints never fit exactly; only ask for a loose residual
     return fit_three_view(
         tensor, K, restarts=restarts, seed=seed, residual_target=math.inf

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import noise_id
 from noise_id.cli import (
     EXIT_CAPABILITY,
     EXIT_OK,
@@ -265,3 +270,51 @@ class TestBound:
     def test_missing_file_exit_2(self, tmp_path):
         t1 = write(tmp_path, "t1.json", [[1, 0], [0, 1]])
         assert main(["bound", t1, t1, str(tmp_path / "nope.json")]) == EXIT_VALIDATION
+
+
+class TestMalformedInput:
+    """Malformed files exit 2 with a message naming the file, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "name, text, argv, located",
+        [
+            ("no_eps.json",
+             '{"K": 2, "noise_model": {"type": "asymmetric"}, "n": 10}',
+             ["generate", "{path}", "-o", "{out}"], "noise_model.eps"),
+            ("k_word.json",
+             '{"K": "three", "T": [[0.9, 0.1], [0.2, 0.8]], "n": 10}',
+             ["generate", "{path}", "-o", "{out}"], "'K'"),
+            ("cell.csv",
+             "y,ytilde_1,ytilde_2,ytilde_3\n1,1,2,1\n2,x,2,2\n",
+             ["estimate", "{path}"], ":3: column 'ytilde_1'"),
+            ("matrix.json",
+             '[["a", 0.5], [0.5, 0.5]]',
+             ["bound", "{path}", "{path}", "{path}"], "matrix.json"),
+        ],
+        ids=["missing-eps", "K-not-integer", "csv-cell", "matrix-cell"],
+    )
+    def test_exits_2_naming_the_file(self, tmp_path, name, text, argv, located):
+        path = tmp_path / name
+        path.write_text(text)
+        argv = [a.format(path=path, out=tmp_path / "out.csv") for a in argv]
+        env = dict(os.environ, PYTHONPATH=str(Path(noise_id.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "noise_id.cli", *argv],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == EXIT_VALIDATION
+        assert str(path) in proc.stderr
+        assert located in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["estimate", "s.json", "--exact", "--restarts", "0"],
+         ["simulate-2nn", "p.json", "--trials", "0"]],
+        ids=["restarts", "trials"],
+    )
+    def test_counts_below_one_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == EXIT_VALIDATION
+        assert "must be >= 1" in capsys.readouterr().err

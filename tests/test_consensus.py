@@ -137,6 +137,16 @@ class TestEstimate:
         assert result.residual < 1e-10
         np.testing.assert_allclose(result.scenario.T.entries, np.eye(2), atol=1e-9)
 
+    def test_exact_zeros_need_one_restart(self):
+        # the stalled restart is boundary-refined at once, not after every
+        # other restart has also run to the descent cap
+        s = Scenario(T=TransitionMatrix(np.eye(3)), prior=Prior([0.5, 0.3, 0.2]))
+        result = estimate(exact_joint(s, 3), seed=0)
+        assert result.restarts_used == 1
+        assert len(result.per_restart_residuals) == result.restarts_used
+        assert result.residual < 1e-12
+        np.testing.assert_allclose(result.scenario.T.entries, np.eye(3), atol=1e-9)
+
     def test_requires_order_three(self):
         s = binary_scenario(0.6, 0.1, 0.3)
         with pytest.raises(ValidationError):

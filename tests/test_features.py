@@ -163,6 +163,15 @@ class TestFitThreeView:
         assert np.abs(result.feature_models[0].entries - A.entries).max() < 1e-6
         assert np.abs(result.feature_models[1].entries - B.entries).max() < 1e-6
 
+    def test_exact_zero_in_T_needs_one_restart(self):
+        A = ObsMatrix([[0.9, 0.1], [0.2, 0.8]])
+        B = ObsMatrix([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]])
+        T = TransitionMatrix([[1.0, 0.0], [0.25, 0.75]])
+        tensor = exact_three_view_joint(Prior([0.6, 0.4]), [A, B, T])
+        result = fit_three_view(tensor, K=2, seed=0)
+        assert result.converged and result.restarts_used == 1
+        assert np.abs(result.scenario.T.entries - T.entries).max() < 1e-9
+
     def test_uninformative_features_break_uniqueness(self):
         flat = ObsMatrix([[0.5, 0.5], [0.5, 0.5]])
         T = TransitionMatrix([[0.85, 0.15], [0.25, 0.75]])
