@@ -12,8 +12,9 @@ squared residual (gradient 2 J^T r), then a Levenberg-Marquardt polish that
 brings exact-tensor fits down to machine precision. `refine_boundary` pins
 near-zero entries to a logit of -inf, where the softmax value and the
 Jacobian column are exactly 0, and reruns the same polish on the rest.
-`solve` runs seeded local fits, refining each stalled one at once, until one
-meets the early-exit rule; tied and distinct fits share it.
+`solve` runs seeded restarts of tied or distinct fits under one stopping
+rule: a fit is done when its residual is within the sampling noise of the
+tensor, or within RESIDUAL_FLOOR for an exact tensor.
 """
 
 from __future__ import annotations
@@ -28,10 +29,9 @@ from .errors import ConvergenceWarning
 DESCENT_ITER = 5000
 DESCENT_GTOL = 1e-10
 DESCENT_FTOL = 1e-26
-POLISH_ITER = 60
+LM_ITER = 500
 BOUNDARY_TOL = 1e-5
-BOUNDARY_ITER = 100
-EARLY_EXIT = 1e-2
+RESIDUAL_FLOOR = 1e-10
 
 
 def _softmax(x):
@@ -102,13 +102,14 @@ def _descend(theta, target, K, dims, tied):
     return theta
 
 
-def _polish(theta, target, K, dims, tied, max_iter):
-    """Levenberg-Marquardt refinement to machine precision."""
+def _polish(theta, target, K, dims, tied):
+    """Levenberg-Marquardt refinement, until a step no longer improves the
+    squared residual or it falls below 1e-30."""
     lam = 1e-6
     r, J = _residual_jac(theta, target, K, dims, tied)
     f = r @ r
     eye = np.eye(theta.size)
-    for _ in range(max_iter):
+    for _ in range(LM_ITER):
         JtJ = J.T @ J
         Jtr = J.T @ r
         improved = False
@@ -131,7 +132,7 @@ def _polish(theta, target, K, dims, tied, max_iter):
 
 def _fit(target, K, dims, tied, theta0):
     theta = _descend(theta0, target, K, dims, tied)
-    theta, f = _polish(theta, target, K, dims, tied, POLISH_ITER)
+    theta, f = _polish(theta, target, K, dims, tied)
     w, mats = _split(theta, K, dims)
     return theta, f, w, mats
 
@@ -179,20 +180,24 @@ def refine_boundary(target, w, mats, tied):
         )
     K = parts[0].size
     dims = tuple(M.shape[1] for M in parts[1:])
-    theta, f = _polish(theta, target, K, dims, tied, BOUNDARY_ITER)
+    theta, f = _polish(theta, target, K, dims, tied)
     w2, out = _split(theta, K, dims)
     return f, w2, out
 
 
-def solve(target, K, dims, tied, restarts, seed, residual_target):
-    """Multi-start fit of a prior and factors (tied: dims = (K,)).
+def solve(target, K, dims, tied, restarts, seed, n):
+    """Multi-start fit of a prior and factors (tied: dims = (K,)) to a tensor
+    estimated from n records (n = inf for an exact tensor).
 
-    Restart r runs `fit_symmetric` or `fit_general` from logits drawn from
-    default_rng((seed, r)), then `refine_boundary` when its residual is above
-    residual_target. The first restart below EARLY_EXIT * residual_target**2
-    ends the search. Returns the best (squared residual, prior, factor list)
-    and every restart's residual, measured after its refine.
+    tol = max(sqrt((1 - sum target**2) / n), RESIDUAL_FLOOR) is the residual
+    that sampling n records leaves. Restart r runs `fit_symmetric` or
+    `fit_general` from logits drawn from default_rng((seed, r)), then
+    `refine_boundary` when its residual is above tol; the first restart at or
+    below tol ends the search. Returns the best (squared residual, prior,
+    factor list), every restart's residual after its refine, and converged
+    (the best is at or below tol).
     """
+    tol = max(math.sqrt(max(1.0 - float(np.sum(target**2)), 0.0) / n), RESIDUAL_FLOOR)
     best, per_restart = None, []
     for r in range(restarts):
         theta0 = np.random.default_rng((seed, r)).standard_normal(K + K * sum(dims))
@@ -201,19 +206,20 @@ def solve(target, K, dims, tied, restarts, seed, residual_target):
             mats = [T]
         else:
             _, f, w, mats = fit_general(target, K, dims, theta0)
-        if f > residual_target**2:
+        if f > tol**2:
             refined = refine_boundary(target, w, mats, tied)
             if refined is not None and refined[0] < f:
                 f, w, mats = refined
         per_restart.append(math.sqrt(f))
         if best is None or f < best[0]:
             best = (f, w, mats)
-        if f < EARLY_EXIT * residual_target**2:
+        if f <= tol**2:
             break
-    if best[0] > residual_target**2:
+    converged = best[0] <= tol**2
+    if not converged:
         warnings.warn(
-            f"fit did not reach residual {residual_target:.1e} after {len(per_restart)} "
+            f"fit did not reach residual {tol:.1e} after {len(per_restart)} "
             f"restarts (best {math.sqrt(best[0]):.3e}); returning best effort",
             ConvergenceWarning,
         )
-    return (*best, per_restart)
+    return (*best, per_restart, converged)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import consensus, features, identifiability, noisegen
-from .datasets import NoisyDataset
+from .datasets import NoisyDataset, _read_json
 from .errors import (
     CapabilityError,
     NoiseIdError,
@@ -38,15 +38,6 @@ NOISE_MODELS = {"asymmetric", "instance", "part_dependent", "explicit"}
 
 
 _REQUIRED = object()
-
-
-def _read_json(path):
-    try:
-        return json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ValidationError(f"{path}: no such file") from None
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"{path}:{e.lineno}: invalid JSON: {e.msg}") from None
 
 
 def _field(path, doc, key, cast, default=_REQUIRED, section=""):
@@ -316,7 +307,7 @@ def cmd_estimate(args) -> int:
                 )
             joint = consensus.empirical_joint(ds)
             result = consensus.estimate(
-                joint, restarts=args.restarts, seed=seed, residual_target=np.inf
+                joint, restarts=args.restarts, seed=seed, n=ds.n
             )
         truth = load_matrix(args.truth) if args.truth else None
     report = {

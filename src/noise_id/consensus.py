@@ -141,12 +141,16 @@ def binary_scenario(gamma: float, e_plus: float, e_minus: float) -> Scenario:
 
 @dataclass
 class EstimateResult:
+    """A recovered scenario and how the solve got there; three-view fits
+    also carry their two feature matrices (A, B)."""
+
     scenario: Scenario
     residual: float
     restarts_used: int
     converged: bool
     permutation: tuple
     per_restart_residuals: list
+    feature_models: tuple = ()
 
     def __iter__(self):
         return iter((self.scenario, self.residual))
@@ -156,16 +160,17 @@ def estimate(
     joint: JointTensor,
     restarts: int = 20,
     seed=0,
-    residual_target: float = 1e-10,
+    n: float = math.inf,
 ) -> EstimateResult:
-    """Recover (prior, T) from an order-3 symmetric joint tensor.
+    """Recover (prior, T) from an order-3 symmetric joint tensor estimated
+    from n records (the default, n = inf, is an exact tensor).
 
-    Multi-start local search (`_kernels.solve`): restart r starts from the
-    seed (seed, r); one above residual_target is boundary-refined at once,
-    and the first one below 1e-2 * residual_target**2 ends the search. The
-    output is aligned to a maximal trace (diagonal dominance). `residual` is
-    the Frobenius norm of the remaining tensor mismatch, and
-    `per_restart_residuals` holds it for each restart after its refine.
+    Multi-start local search (`_kernels.solve`): the first restart within
+    the sampling noise of n records (1e-10 for an exact tensor) ends it, and
+    `converged` says whether one got there (if not, the best fit comes with a
+    ConvergenceWarning). The output is aligned to a maximal trace (diagonal
+    dominance). `residual` is the Frobenius norm of the remaining tensor
+    mismatch; `per_restart_residuals` holds it for each restart.
     """
     if joint.p != 3:
         raise ValidationError("estimate requires an order-3 joint tensor")
@@ -174,11 +179,9 @@ def estimate(
         raise ValidationError(
             f"tensor is not symmetric (defect {defect:.3g}); symmetrize first"
         )
-    f, w, (T,), per_restart = _kernels.solve(
-        joint.values, joint.K, (joint.K,), True, restarts, seed, residual_target
+    f, w, (T,), per_restart, converged = _kernels.solve(
+        joint.values, joint.K, (joint.K,), True, restarts, seed, n
     )
-    residual = math.sqrt(f)
-    converged = residual <= residual_target
     perm, T_aligned = max_trace_permutation(T)
     w_aligned = w[list(perm)]
     scenario = Scenario(
@@ -192,7 +195,7 @@ def estimate(
             )
     return EstimateResult(
         scenario=scenario,
-        residual=residual,
+        residual=math.sqrt(f),
         restarts_used=len(per_restart),
         converged=converged,
         permutation=perm,

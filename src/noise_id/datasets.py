@@ -126,14 +126,30 @@ class NoisyDataset:
             raise ValidationError(_bad_cell(path, header, rows)) from None
         sidecar = path.with_suffix(path.suffix + ".provenance.json")
         if sidecar.exists():
-            provenance = json.loads(sidecar.read_text())
+            provenance = _read_json(sidecar)
+            if not isinstance(provenance, dict) or not provenance:
+                raise ValidationError(
+                    f"{sidecar}: provenance must be a nonempty JSON object"
+                )
+            if type(provenance.get("K", 0)) is not int:
+                raise ValidationError(f"{sidecar}: field 'K' must be an integer")
         else:
             provenance = {"model": "unknown", "source": str(path)}
         if K is None:
             hi = int(max(y.max(initial=1), noisy.max(initial=1)))
-            K = int(provenance.get("K", hi))
-            K = max(K, hi)
+            K = max(provenance.get("K", hi), hi)
         return cls(y=y, noisy=noisy, K=K, provenance=provenance, x=x, r=r)
+
+
+def _read_json(path):
+    """The parsed JSON document at path; a missing file or invalid JSON
+    raises ValidationError naming the file (and the line)."""
+    try:
+        return json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        raise ValidationError(f"{path}: no such file") from None
+    except json.JSONDecodeError as e:
+        raise ValidationError(f"{path}:{e.lineno}: invalid JSON: {e.msg}") from None
 
 
 def _bad_cell(path, header, rows) -> str:

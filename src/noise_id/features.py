@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from .consensus import EstimateResult
 from .datasets import NoisyDataset
 from .errors import SearchExhaustedError, DimensionError, ValidationError
 from .identifiability import ObservationModel
@@ -163,34 +164,22 @@ def exact_three_view_joint(prior: Prior, mats) -> np.ndarray:
     return np.einsum("y,ya,yb,yc->abc", prior.weights, *ms)
 
 
-@dataclass
-class FeatureEstimateResult:
-    scenario: Scenario
-    feature_models: list
-    residual: float
-    restarts_used: int
-    converged: bool
-    permutation: tuple
-
-    def __iter__(self):
-        return iter((self.scenario, self.feature_models, self.residual))
-
-
 def fit_three_view(
     tensor,
     K: int,
     restarts: int = 20,
     seed=0,
-    residual_target: float = 1e-8,
-) -> FeatureEstimateResult:
-    """Fit (prior, A, B, C) to an order-3 joint with distinct factors.
+    n: float = math.inf,
+) -> EstimateResult:
+    """Fit (prior, A, B, C) to an order-3 joint with distinct factors,
+    estimated from n records (the default, n = inf, is an exact tensor).
 
-    Multi-start search as in `_kernels.solve`: a restart above
-    residual_target is refined at once; one below 1e-2 * residual_target**2
-    ends it. The third axis is taken to be the noisy label, so C is returned
-    as the transition matrix and the shared hidden-state permutation is
-    resolved by maximizing its trace. Ambiguity can remain when no factor is
-    diagonally dominant; the trace convention is applied regardless.
+    Multi-start search with the stopping rule of `estimate`. The third axis
+    is taken to be the noisy label, so C is returned as the transition
+    matrix, A and B as `feature_models`, and the shared hidden-state
+    permutation is resolved by maximizing the trace of C. Ambiguity can
+    remain when no factor is diagonally dominant; the trace convention is
+    applied regardless.
     """
     target = np.ascontiguousarray(tensor, dtype=np.float64)
     if target.ndim != 3:
@@ -198,24 +187,21 @@ def fit_three_view(
     dims = target.shape
     if dims[2] != K:
         raise ValidationError("third axis must have cardinality K (the noisy label)")
-    f, w, mats, per_restart = _kernels.solve(
-        target, K, dims, False, restarts, seed, residual_target
+    f, w, mats, per_restart, converged = _kernels.solve(
+        target, K, dims, False, restarts, seed, n
     )
-    residual = math.sqrt(f)
-    converged = residual <= residual_target
     perm, T_aligned = max_trace_permutation(mats[2])
     idx = list(perm)
-    scenario = Scenario(
-        T=TransitionMatrix(T_aligned), prior=Prior(w[idx] / w[idx].sum())
-    )
-    feature_models = [ObsMatrix(mats[0][idx]), ObsMatrix(mats[1][idx])]
-    return FeatureEstimateResult(
-        scenario=scenario,
-        feature_models=feature_models,
-        residual=residual,
+    return EstimateResult(
+        scenario=Scenario(
+            T=TransitionMatrix(T_aligned), prior=Prior(w[idx] / w[idx].sum())
+        ),
+        residual=math.sqrt(f),
         restarts_used=len(per_restart),
         converged=converged,
         permutation=perm,
+        per_restart_residuals=per_restart,
+        feature_models=(ObsMatrix(mats[0][idx]), ObsMatrix(mats[1][idx])),
     )
 
 
@@ -237,20 +223,20 @@ def estimate_from_features(
     K: int,
     restarts: int = 20,
     seed=0,
-) -> FeatureEstimateResult:
+) -> EstimateResult:
     """Recover T from two categorical features plus one noisy label.
 
     Treats (R_1, R_2, noisy label) as the three observed variables of a
     latent-class model and fits by moment matching on their empirical joint.
     Using exactly the first two features keeps the problem in the
-    three-observation sweet spot.
+    three-observation sweet spot. The fit stops at the sampling noise of the
+    ds.n records, so a restart stuck in a local minimum above it is followed
+    by the next, up to `restarts`.
     """
     if ds.r is None or ds.r.shape[1] < 2 or ds.p < 1:
         raise ValidationError(
             "estimate_from_features needs at least 2 feature columns and a noisy label"
         )
-    tensor = empirical_three_view(ds)
-    # sampled joints never fit exactly; only ask for a loose residual
     return fit_three_view(
-        tensor, K, restarts=restarts, seed=seed, residual_target=math.inf
+        empirical_three_view(ds), K, restarts=restarts, seed=seed, n=ds.n
     )

@@ -141,7 +141,7 @@ def test_criterion_06_sampled_recovery():
     T = asymmetric_T(K, 0.3)
     ds = sample_iid_noisy(Prior(np.full(K, 1 / K)), T, p=3, n=1_000_000, seed=6)
     joint = empirical_joint(ds)
-    result = estimate(joint, seed=0, residual_target=math.inf)
+    result = estimate(joint, seed=0, n=ds.n)
     err = err_metric(result.scenario.T.entries, T.entries, permutation_invariant=True)
     report(6, f"sampled recovery at n=1e6: err = {err:.3f} (want <= 2.0)", err <= 2.0)
 

@@ -297,6 +297,22 @@ class TestMalformedInput:
         path = tmp_path / name
         path.write_text(text)
         argv = [a.format(path=path, out=tmp_path / "out.csv") for a in argv]
+        self.assert_exits_2(argv, path, located)
+
+    @pytest.mark.parametrize(
+        "text, located",
+        [("{bad", ":1: invalid JSON"), ("[1]", "JSON object"), ('{"K": "x"}', "'K'")],
+        ids=["invalid-json", "not-an-object", "K-not-integer"],
+    )
+    def test_bad_sidecar_exits_2(self, tmp_path, text, located):
+        data = tmp_path / "d.csv"
+        data.write_text("y,ytilde_1,ytilde_2,ytilde_3\n1,1,2,1\n2,1,2,2\n")
+        sidecar = tmp_path / "d.csv.provenance.json"
+        sidecar.write_text(text)
+        self.assert_exits_2(["estimate", str(data)], sidecar, located)
+
+    @staticmethod
+    def assert_exits_2(argv, path, located):
         env = dict(os.environ, PYTHONPATH=str(Path(noise_id.__file__).parents[1]))
         proc = subprocess.run(
             [sys.executable, "-m", "noise_id.cli", *argv],

@@ -25,7 +25,7 @@ from noise_id.errors import (
     SingularConversionError,
     ValidationError,
 )
-from noise_id.matrices import Prior, Scenario, TransitionMatrix
+from noise_id.matrices import Prior, Scenario, TransitionMatrix, align_permutation
 from noise_id.noisegen import asymmetric_T, sample_iid_noisy
 
 
@@ -146,6 +146,17 @@ class TestEstimate:
         assert len(result.per_restart_residuals) == result.restarts_used
         assert result.residual < 1e-12
         np.testing.assert_allclose(result.scenario.T.entries, np.eye(3), atol=1e-9)
+
+    def test_near_zero_entry_exact_in_one_restart(self):
+        # T[1, 1] = 0.0032 is near the boundary; the LM polish of restart 0
+        # must run until it stops improving to reach an exact fit
+        T = TransitionMatrix([[0.7740, 0.2260], [0.9968, 0.0032]])
+        s = Scenario(T=T, prior=Prior([0.7755, 0.2245]))
+        result = estimate(exact_joint(s, 3), seed=914281522)
+        assert result.restarts_used == 1
+        assert result.residual < 1e-12
+        _, aligned = align_permutation(result.scenario.T.entries, T.entries)
+        np.testing.assert_allclose(aligned, T.entries, atol=1e-6)
 
     def test_requires_order_three(self):
         s = binary_scenario(0.6, 0.1, 0.3)

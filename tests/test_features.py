@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from noise_id.errors import DimensionError, ValidationError
+from noise_id.errors import ConvergenceWarning, DimensionError, ValidationError
 from noise_id.features import (
     FeatureModel,
     empirical_three_view,
@@ -184,6 +184,16 @@ class TestFitThreeView:
         err = np.abs(result.scenario.T.entries - T.entries).max()
         assert err > 1e-3
 
+    def test_unexplained_sampled_tensor_is_not_converged(self):
+        # no K=2 model explains a random (3, 3, 2) tensor to the sampling
+        # noise of 1e6 records, so every restart runs and none is accepted
+        tensor = np.random.default_rng(0).dirichlet(np.ones(18)).reshape(3, 3, 2)
+        with pytest.warns(ConvergenceWarning, match="fit did not reach residual"):
+            result = fit_three_view(tensor, K=2, restarts=2, seed=0, n=1e6)
+        assert result.converged is False
+        assert result.restarts_used == 2
+        assert len(result.per_restart_residuals) == 2
+
     def test_third_axis_must_be_K(self):
         with pytest.raises(ValidationError):
             fit_three_view(np.full((2, 2, 3), 1 / 12), K=2)
@@ -231,6 +241,27 @@ class TestEstimateFromFeatures:
             result.scenario.T.entries, T.entries, permutation_invariant=True
         )
         assert err <= 3.0
+
+    @pytest.mark.parametrize(
+        "seed, index, restarts_used", [(1012, 0, 1), (1037, 1, 2)], ids=["1012-0", "1037-1"]
+    )
+    def test_fit_reaches_the_truths_residual(self, seed, index, restarts_used):
+        # two draws of the feature-recovery benchmark: 1012/0 needs about 160
+        # LM steps, and restart 0 of 1037/1 is a local minimum above the
+        # sampling noise, so the fit moves on to restart 1
+        rng = np.random.default_rng((seed, index))
+        w = Prior(rng.dirichlet(np.full(3, 4.0)))
+        T = TransitionMatrix(0.5 * np.eye(3) + 0.5 * rng.dirichlet(np.ones(3), size=3))
+        fseed, dseed = (int(x) for x in rng.integers(2**31, size=2))
+        fm = gen_feature_model(3, 2, 4, 3, seed=fseed)
+        ds = sample_with_features(w, T, fm, 100_000, dseed)
+        truth = np.linalg.norm(
+            exact_three_view_joint(w, [*fm.models, T]) - empirical_three_view(ds)
+        )
+        result = estimate_from_features(ds, 3, seed=0)
+        assert result.converged
+        assert result.residual <= truth
+        assert result.restarts_used == restarts_used
 
     def test_requires_two_features(self):
         fm = gen_feature_model(2, 1, 3, seed=0)
