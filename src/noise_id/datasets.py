@@ -68,26 +68,16 @@ class NoisyDataset:
         cols = []
         if self.x is not None:
             header += [f"x_{i+1}" for i in range(self.x.shape[1])]
-            cols.append(self.x)
+            cols += [[repr(v) for v in col] for col in self.x.T.tolist()]
         if self.r is not None:
             header += [f"r_{i+1}" for i in range(self.r.shape[1])]
-            cols.append(self.r)
         header.append("y")
-        cols.append(self.y[:, None])
         header += [f"ytilde_{i+1}" for i in range(self.p)]
-        cols.append(self.noisy)
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for i in range(self.n):
-                row = []
-                for block in cols:
-                    for v in block[i]:
-                        if isinstance(v, (np.floating, float)):
-                            row.append(repr(float(v)))
-                        else:
-                            row.append(int(v))
-                writer.writerow(row)
+        for block in (self.r, self.y[:, None], self.noisy):
+            if block is not None:
+                cols += [_int_text(col) for col in block.T]
+        lines = [",".join(header), *map(",".join, zip(*cols)), ""]
+        path.write_bytes("\r\n".join(lines).encode())
         sidecar = path.with_suffix(path.suffix + ".provenance.json")
         sidecar.write_text(json.dumps(self.provenance, indent=2, sort_keys=True))
 
@@ -98,32 +88,28 @@ class NoisyDataset:
             with path.open(newline="") as fh:
                 reader = csv.reader(fh)
                 header = next(reader, [])
-                rows = list(reader)
+                skip = reader.line_num
+                has_records = any(line.strip("\r\n") for line in fh)
         except FileNotFoundError:
             raise ValidationError(f"{path}: no such file") from None
         if "y" not in header:
             raise ValidationError(f"{path}: CSV is missing the clean-label column 'y'")
+        if not has_records:
+            raise ValidationError(f"{path}: no records")
         x_cols = [i for i, h in enumerate(header) if h.startswith("x_")]
         r_cols = [i for i, h in enumerate(header) if h.startswith("r_")]
         yt_cols = [i for i, h in enumerate(header) if h.startswith("ytilde_")]
-        y_col = header.index("y")
+        # quoted cells are accepted, '#' starts no comment, blank lines are skipped
+        load = dict(delimiter=",", skiprows=skip, ndmin=2, quotechar='"', comments=None)
         try:
-            y = np.array([int(row[y_col]) for row in rows], dtype=np.int64)
-            noisy = np.array(
-                [[int(row[c]) for c in yt_cols] for row in rows], dtype=np.int64
+            labels = np.loadtxt(
+                path, usecols=[header.index("y"), *yt_cols, *r_cols], dtype=np.int64, **load
             )
-            x = (
-                np.array([[float(row[c]) for c in x_cols] for row in rows])
-                if x_cols
-                else None
-            )
-            r = (
-                np.array([[int(row[c]) for c in r_cols] for row in rows], dtype=np.int64)
-                if r_cols
-                else None
-            )
-        except (ValueError, IndexError):
-            raise ValidationError(_bad_cell(path, header, rows)) from None
+            x = np.loadtxt(path, usecols=x_cols, dtype=np.float64, **load) if x_cols else None
+        except ValueError:
+            raise ValidationError(_bad_cell(path, header)) from None
+        y, noisy = labels[:, 0], labels[:, 1 : 1 + len(yt_cols)]
+        r = labels[:, 1 + len(yt_cols) :] if r_cols else None
         sidecar = path.with_suffix(path.suffix + ".provenance.json")
         if sidecar.exists():
             provenance = _read_json(sidecar)
@@ -152,7 +138,13 @@ def _read_json(path):
         raise ValidationError(f"{path}:{e.lineno}: invalid JSON: {e.msg}") from None
 
 
-def _bad_cell(path, header, rows) -> str:
+def _int_text(col) -> list:
+    """The decimal text of each integer in col, made once per distinct value."""
+    values, index = np.unique(col, return_inverse=True)
+    return np.array([str(v) for v in values.tolist()], dtype=object)[index].tolist()
+
+
+def _bad_cell(path, header) -> str:
     """Where the first cell that from_csv cannot parse is: the file, the CSV
     line and the column."""
     cols = [
@@ -160,12 +152,25 @@ def _bad_cell(path, header, rows) -> str:
         for i, name in enumerate(header)
         if name == "y" or name.startswith(("x_", "r_", "ytilde_"))
     ]
-    for line, row in enumerate(rows, start=2):
-        for i, name, cast in cols:
-            if i >= len(row):
-                return f"{path}:{line}: no cell for column '{name}'"
-            try:
-                cast(row[i])
-            except ValueError:
-                return f"{path}:{line}: column '{name}': cannot parse {row[i]!r}"
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in filter(None, reader):  # blank lines are skipped
+            line = reader.line_num
+            for i, name, cast in cols:
+                if i >= len(row):
+                    return f"{path}:{line}: no cell for column '{name}'"
+                try:
+                    _parse(row[i], cast)
+                except ValueError:
+                    return f"{path}:{line}: column '{name}': cannot parse {row[i]!r}"
     return f"{path}: cannot parse the CSV"
+
+
+def _parse(cell, cast):
+    """Raise ValueError where from_csv cannot read cell: where cast does, and
+    for a non-ASCII character, a digit separator '_' or an integer outside
+    int64."""
+    v = cast(cell)
+    if not cell.isascii() or "_" in cell or (cast is int and not -(2**63) <= v < 2**63):
+        raise ValueError(cell)

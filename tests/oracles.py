@@ -2,14 +2,18 @@
 
 These deliberately avoid the library's own code paths: exact rational
 arithmetic for rank decisions, direct elementwise sums for norms, plain
-Monte Carlo for distribution summaries, and scalar loops for the solver's
-residual and Jacobian.
+Monte Carlo for distribution summaries, scalar loops for the solver's
+residual and Jacobian, and the csv module, one row at a time, for dataset
+files.
 """
 
+import csv
 import itertools
 from fractions import Fraction
 
 import numpy as np
+
+from noise_id.errors import ValidationError
 
 
 def _rational_rank(rows):
@@ -235,3 +239,66 @@ def _gen_residual_jac(theta, target, K, k1, k2, k3):
                     )
                 J[i, off + y * k3 + c] = acc
     return r, J
+
+
+def rowwise_to_csv(ds, path):
+    """The CSV file of NoisyDataset ds, written one cell at a time through
+    the csv module (no provenance sidecar)."""
+    header = []
+    cols = []
+    if ds.x is not None:
+        header += [f"x_{i+1}" for i in range(ds.x.shape[1])]
+        cols.append(ds.x)
+    if ds.r is not None:
+        header += [f"r_{i+1}" for i in range(ds.r.shape[1])]
+        cols.append(ds.r)
+    header.append("y")
+    cols.append(ds.y[:, None])
+    header += [f"ytilde_{i+1}" for i in range(ds.p)]
+    cols.append(ds.noisy)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(ds.n):
+            row = []
+            for block in cols:
+                for v in block[i]:
+                    if isinstance(v, (np.floating, float)):
+                        row.append(repr(float(v)))
+                    else:
+                        row.append(int(v))
+            writer.writerow(row)
+
+
+def rowwise_from_csv(path):
+    """(y, noisy, x, r) parsed from a dataset CSV one row at a time with the
+    csv module; x and r are None without such columns. A cell that int or
+    float rejects, or a missing one, raises ValidationError."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows = list(reader)
+    if "y" not in header:
+        raise ValidationError(f"{path}: CSV is missing the clean-label column 'y'")
+    x_cols = [i for i, h in enumerate(header) if h.startswith("x_")]
+    r_cols = [i for i, h in enumerate(header) if h.startswith("r_")]
+    yt_cols = [i for i, h in enumerate(header) if h.startswith("ytilde_")]
+    y_col = header.index("y")
+    try:
+        y = np.array([int(row[y_col]) for row in rows], dtype=np.int64)
+        noisy = np.array(
+            [[int(row[c]) for c in yt_cols] for row in rows], dtype=np.int64
+        )
+        x = (
+            np.array([[float(row[c]) for c in x_cols] for row in rows])
+            if x_cols
+            else None
+        )
+        r = (
+            np.array([[int(row[c]) for c in r_cols] for row in rows], dtype=np.int64)
+            if r_cols
+            else None
+        )
+    except (ValueError, IndexError):
+        raise ValidationError(f"{path}: cannot parse the CSV") from None
+    return y, noisy, x, r

@@ -287,11 +287,18 @@ class TestMalformedInput:
             ("cell.csv",
              "y,ytilde_1,ytilde_2,ytilde_3\n1,1,2,1\n2,x,2,2\n",
              ["estimate", "{path}"], ":3: column 'ytilde_1'"),
+            ("big.csv",
+             "y,ytilde_1,ytilde_2,ytilde_3\n1,1,2,1\n2,99999999999999999999,2,2\n",
+             ["estimate", "{path}"], ":3: column 'ytilde_1'"),
+            ("header.csv",
+             "y,ytilde_1,ytilde_2,ytilde_3\n",
+             ["estimate", "{path}"], "no records"),
             ("matrix.json",
              '[["a", 0.5], [0.5, 0.5]]',
              ["bound", "{path}", "{path}", "{path}"], "matrix.json"),
         ],
-        ids=["missing-eps", "K-not-integer", "csv-cell", "matrix-cell"],
+        ids=["missing-eps", "K-not-integer", "csv-cell", "csv-int64-overflow",
+             "csv-header-only", "matrix-cell"],
     )
     def test_exits_2_naming_the_file(self, tmp_path, name, text, argv, located):
         path = tmp_path / name
