@@ -243,6 +243,11 @@ def cmd_generate(args) -> int:
     n = sf.n or 1000
     nm = sf.noise_model
     if nm["type"] == "instance":
+        if sf.p not in (None, 1):
+            raise ValidationError(
+                f"{sf.path}: field 'p': an instance scenario draws one noisy "
+                f"label per record, got p={sf.p}"
+            )
         rng = np.random.default_rng(seed)
         S = sf.S
         x = rng.standard_normal((n, S))
@@ -285,7 +290,8 @@ def cmd_estimate(args) -> int:
     seed = _require_seed(args)
     if args.exact:
         sf = load_scenario(args.source)
-        joint = consensus.exact_joint(sf.scenario(), 3)
+        p = _labels_for_recovery(sf.p or 3)
+        joint = consensus.exact_joint(sf.scenario(), p)
         result = consensus.estimate(joint, restarts=args.restarts, seed=seed)
         truth = sf.scenario().T.entries if args.truth is None else load_matrix(args.truth)
     else:
@@ -300,11 +306,7 @@ def cmd_estimate(args) -> int:
                 ds, ds.K, restarts=args.restarts, seed=seed
             )
         else:
-            if ds.p < 3:
-                raise CapabilityError(
-                    f"dataset has p={ds.p} noisy labels; three conditionally "
-                    "independent labels are required for instance-level recovery"
-                )
+            _labels_for_recovery(ds.p)
             joint = consensus.empirical_joint(ds)
             result = consensus.estimate(
                 joint, restarts=args.restarts, seed=seed, n=ds.n
@@ -324,6 +326,17 @@ def cmd_estimate(args) -> int:
         )
     emit(report, args)
     return EXIT_OK
+
+
+def _labels_for_recovery(p):
+    """p, the number of i.i.d. noisy labels per record, all of which
+    estimate fits; fewer than three raise CapabilityError."""
+    if p < 3:
+        raise CapabilityError(
+            f"p={p} noisy labels per record; three conditionally "
+            "independent labels are required for instance-level recovery"
+        )
+    return p
 
 
 def cmd_witness(args) -> int:

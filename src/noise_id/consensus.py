@@ -8,7 +8,6 @@ binary transition matrix is [[1 - e_plus, e_plus], [e_minus, 1 - e_minus]].
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -18,6 +17,7 @@ import numpy as np
 from . import _kernels
 from .datasets import NoisyDataset
 from .errors import (
+    CapabilityError,
     DegenerateClassError,
     DimensionError,
     SearchExhaustedError,
@@ -29,12 +29,14 @@ from .matrices import (
     Scenario,
     TransitionMatrix,
     align_permutation,
+    check_align_k,
     max_trace_permutation,
     _as_array,
 )
 from .identifiability import is_informative_label
 
 SYMMETRY_TOL = 1e-6
+MAX_JOINT_CELLS = 1024
 WITNESS_MIN_DISTANCE = 0.01
 WITNESS_STATS_TOL = 1e-8
 WITNESS_GRID = 389
@@ -72,43 +74,66 @@ class JointTensor:
         return JointTensor(self.values.sum(axis=axis))
 
     def symmetry_defect(self) -> float:
+        """The largest change that swapping two axes makes to any cell: 0
+        exactly when the tensor is symmetric, since the swaps generate every
+        order of the axes."""
         v = self.values
+        swaps = [ik for group in _axis_swaps(self.p) for ik in group]
         return max(
-            float(np.abs(v - np.transpose(v, perm)).max())
-            for perm in itertools.permutations(range(self.p))
+            (float(np.abs(v - np.swapaxes(v, i, k)).max()) for i, k in swaps),
+            default=0.0,
+        )
+
+
+def _axis_swaps(p):
+    """The pairs (i, k), i < k, of the axes of an order-p tensor, grouped by
+    k. Group k with the identity holds one representative of each coset of
+    the orders of axes 0..k-1 among the orders of axes 0..k, so composing one
+    entry (or the identity) from every group gives each of the p! axis orders
+    exactly once."""
+    return [[(i, k) for i in range(k)] for k in range(1, p)]
+
+
+def _sum_over_axis_orders(s):
+    """The sum of s over all p! orders of its axes, from O(p^2) swaps (see
+    `_axis_swaps`); exact on integer counts."""
+    for group in _axis_swaps(s.ndim):
+        s = s + sum(np.swapaxes(s, i, k) for i, k in group)
+    return s
+
+
+def _check_cells(K, p):
+    """Refuse a joint tensor of K**p cells above MAX_JOINT_CELLS before
+    anything is allocated."""
+    if K**p > MAX_JOINT_CELLS:
+        raise CapabilityError(
+            f"a joint tensor of p={p} labels over K={K} classes has {K**p} "
+            f"cells, above the cap of {MAX_JOINT_CELLS} (MAX_JOINT_CELLS)"
         )
 
 
 def exact_joint(s: Scenario, p: int) -> JointTensor:
-    """Forward model: values[j1..jp] = sum_y prior[y] * prod_i T[y, j_i]."""
+    """Forward model: values[j1..jp] = sum_y prior[y] * prod_i T[y, j_i].
+    Raises CapabilityError above MAX_JOINT_CELLS cells."""
     if p < 1:
         raise ValidationError("p must be >= 1")
-    w = s.prior.weights
-    T = s.T.entries
-    K = s.K
-    out = np.zeros((K,) * p)
-    for y in range(K):
-        cube = w[y]
-        for _ in range(p):
-            cube = np.multiply.outer(cube, T[y])
-        out += cube
-    return JointTensor(out)
+    _check_cells(s.K, p)
+    return JointTensor(_kernels.forward(s.prior.weights, [s.T.entries] * p))
 
 
 def empirical_joint(ds: NoisyDataset) -> JointTensor:
     """Frequency tensor of the noisy-label p-tuples, symmetrized by averaging
-    over axis permutations (valid for i.i.d. labels)."""
-    if ds.n == 0:
-        raise ValidationError("empty dataset")
+    over axis orders (valid for i.i.d. labels): the counts are summed over
+    all p! orders and divided once. Raises CapabilityError above
+    MAX_JOINT_CELLS cells."""
+    if ds.n == 0 or ds.p == 0:
+        raise ValidationError("empty dataset or no noisy labels")
     K, p = ds.K, ds.p
-    counts = np.zeros((K,) * p)
-    np.add.at(counts, tuple((ds.noisy - 1).T), 1.0)
-    freq = counts / ds.n
-    sym = np.zeros_like(freq)
-    perms = list(itertools.permutations(range(p)))
-    for perm in perms:
-        sym += np.transpose(freq, perm)
-    return JointTensor(sym / len(perms))
+    _check_cells(K, p)
+    shape = (K,) * p
+    cells = np.ravel_multi_index(tuple((ds.noisy - 1).T), shape)
+    counts = np.bincount(cells, minlength=K**p).reshape(shape)
+    return JointTensor(_sum_over_axis_orders(counts) / (math.factorial(p) * ds.n))
 
 
 @dataclass(frozen=True)
@@ -162,25 +187,28 @@ def estimate(
     seed=0,
     n: float = math.inf,
 ) -> EstimateResult:
-    """Recover (prior, T) from an order-3 symmetric joint tensor estimated
-    from n records (the default, n = inf, is an exact tensor).
+    """Recover (prior, T) from a symmetric joint tensor of order p >= 3 (p
+    i.i.d. noisy labels, all of them fitted) estimated from n records (the
+    default, n = inf, is an exact tensor).
 
     Multi-start local search (`_kernels.solve`): the first restart within
     the sampling noise of n records (1e-10 for an exact tensor) ends it, and
     `converged` says whether one got there (if not, the best fit comes with a
     ConvergenceWarning). The output is aligned to a maximal trace (diagonal
     dominance). `residual` is the Frobenius norm of the remaining tensor
-    mismatch; `per_restart_residuals` holds it for each restart.
+    mismatch; `per_restart_residuals` holds it for each restart. K above
+    MAX_ALIGN_K raises CapabilityError before any fit.
     """
-    if joint.p != 3:
-        raise ValidationError("estimate requires an order-3 joint tensor")
+    if joint.p < 3 or joint.K < 2:
+        raise ValidationError("estimate requires a joint tensor of order p >= 3 and K >= 2")
+    check_align_k(joint.K, "estimate")
     defect = joint.symmetry_defect()
     if defect > SYMMETRY_TOL:
         raise ValidationError(
             f"tensor is not symmetric (defect {defect:.3g}); symmetrize first"
         )
     f, w, (T,), per_restart, converged = _kernels.solve(
-        joint.values, joint.K, (joint.K,), True, restarts, seed, n
+        joint.values, joint.K, (joint.K,), restarts, seed, n
     )
     perm, T_aligned = max_trace_permutation(T)
     w_aligned = w[list(perm)]

@@ -92,6 +92,8 @@ class NoisyDataset:
                 has_records = any(line.strip("\r\n") for line in fh)
         except FileNotFoundError:
             raise ValidationError(f"{path}: no such file") from None
+        except UnicodeDecodeError:
+            raise ValidationError(_bad_cell(path)) from None
         if "y" not in header:
             raise ValidationError(f"{path}: CSV is missing the clean-label column 'y'")
         if not has_records:
@@ -107,7 +109,7 @@ class NoisyDataset:
             )
             x = np.loadtxt(path, usecols=x_cols, dtype=np.float64, **load) if x_cols else None
         except ValueError:
-            raise ValidationError(_bad_cell(path, header)) from None
+            raise ValidationError(_bad_cell(path)) from None
         y, noisy = labels[:, 0], labels[:, 1 : 1 + len(yt_cols)]
         r = labels[:, 1 + len(yt_cols) :] if r_cols else None
         sidecar = path.with_suffix(path.suffix + ".provenance.json")
@@ -144,19 +146,26 @@ def _int_text(col) -> list:
     return np.array([str(v) for v in values.tolist()], dtype=object)[index].tolist()
 
 
-def _bad_cell(path, header) -> str:
-    """Where the first cell that from_csv cannot parse is: the file, the CSV
-    line and the column."""
-    cols = [
-        (i, name, float if name.startswith("x_") else int)
-        for i, name in enumerate(header)
-        if name == "y" or name.startswith(("x_", "r_", "ytilde_"))
-    ]
-    with path.open(newline="") as fh:
+def _bad_cell(path) -> str:
+    """Where the first text that from_csv cannot read is: the file, the CSV
+    line and the column. Bytes that are not UTF-8 are decoded to surrogates
+    here, so that they are found and named instead of raising."""
+    cols = None
+    with path.open(newline="", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
-        next(reader)
         for row in filter(None, reader):  # blank lines are skipped
             line = reader.line_num
+            try:
+                "".join(row).encode()
+            except UnicodeEncodeError:
+                return f"{path}:{line}: text that is not UTF-8"
+            if cols is None:  # the header
+                cols = [
+                    (i, name, float if name.startswith("x_") else int)
+                    for i, name in enumerate(row)
+                    if name == "y" or name.startswith(("x_", "r_", "ytilde_"))
+                ]
+                continue
             for i, name, cast in cols:
                 if i >= len(row):
                     return f"{path}:{line}: no cell for column '{name}'"

@@ -17,7 +17,14 @@ from .consensus import EstimateResult
 from .datasets import NoisyDataset
 from .errors import SearchExhaustedError, DimensionError, ValidationError
 from .identifiability import ObservationModel
-from .matrices import ObsMatrix, Prior, Scenario, TransitionMatrix, max_trace_permutation
+from .matrices import (
+    ObsMatrix,
+    Prior,
+    Scenario,
+    TransitionMatrix,
+    check_align_k,
+    max_trace_permutation,
+)
 from .noisegen import _sample_rows
 
 REJECTION_CAP = 1000
@@ -161,7 +168,7 @@ def exact_three_view_joint(prior: Prior, mats) -> np.ndarray:
     ms = [m.entries if hasattr(m, "entries") else np.asarray(m, float) for m in mats]
     if len(ms) != 3:
         raise ValidationError("need exactly three observation matrices")
-    return np.einsum("y,ya,yb,yc->abc", prior.weights, *ms)
+    return _kernels.forward(prior.weights, ms)
 
 
 def fit_three_view(
@@ -179,7 +186,8 @@ def fit_three_view(
     matrix, A and B as `feature_models`, and the shared hidden-state
     permutation is resolved by maximizing the trace of C. Ambiguity can
     remain when no factor is diagonally dominant; the trace convention is
-    applied regardless.
+    applied regardless. K above MAX_ALIGN_K raises CapabilityError before
+    any fit.
     """
     target = np.ascontiguousarray(tensor, dtype=np.float64)
     if target.ndim != 3:
@@ -187,8 +195,9 @@ def fit_three_view(
     dims = target.shape
     if dims[2] != K:
         raise ValidationError("third axis must have cardinality K (the noisy label)")
+    check_align_k(K, "fit_three_view")
     f, w, mats, per_restart, converged = _kernels.solve(
-        target, K, dims, False, restarts, seed, n
+        target, K, dims, restarts, seed, n
     )
     perm, T_aligned = max_trace_permutation(mats[2])
     idx = list(perm)
@@ -212,10 +221,11 @@ def empirical_three_view(ds: NoisyDataset) -> np.ndarray:
     ra = ds.r[:, 0] - 1
     rb = ds.r[:, 1] - 1
     yt = ds.noisy[:, 0] - 1
+    if min(ra.min(), rb.min()) < 0:
+        raise ValidationError("feature values must be >= 1")
     dims = (int(ra.max()) + 1, int(rb.max()) + 1, ds.K)
-    counts = np.zeros(dims)
-    np.add.at(counts, (ra, rb, yt), 1.0)
-    return counts / ds.n
+    cells = np.ravel_multi_index((ra, rb, yt), dims)
+    return np.bincount(cells, minlength=math.prod(dims)).reshape(dims) / ds.n
 
 
 def estimate_from_features(

@@ -9,7 +9,6 @@ instance setting.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -189,13 +188,39 @@ def check_unknown_groups(num_groups: int, K: int, d_star: int) -> Identifiabilit
     return _report("unknown_groups", lhs, rhs, [], notes)
 
 
+def _best_split(K, cards):
+    """(min(K, tau1) + min(K, tau2) + K, group 1) for a split of the features
+    into two nonempty groups that maximizes the sum, tau being the product of
+    a group's cardinalities.
+
+    A dynamic programme over the states (min(cap, tau1), min(cap, tau2)),
+    cap = max(K, 2): each feature in turn joins one side, feature 0 joins
+    group 1 (the sum is symmetric in the sides), and a side is empty exactly
+    while its state is 1, since every cardinality is >= 2. Each state keeps
+    the first group 1 (a bit mask) that reached it; O(d* cap^2) in all.
+    """
+    cap = max(K, 2)
+    states = {(min(cap, cards[0]), 1): 1}
+    for j, c in enumerate(cards[1:], 1):
+        nxt = {}
+        for (a, b), mask in states.items():
+            nxt.setdefault((a, min(cap, b * c)), mask)
+            nxt.setdefault((min(cap, a * c), b), mask | 1 << j)
+        states = nxt
+    score, mask = max(
+        ((min(K, a) + min(K, b) + K, mask) for (a, b), mask in states.items() if b > 1),
+        key=lambda sm: sm[0],
+    )
+    return score, [i for i in range(len(cards)) if mask >> i & 1]
+
+
 def check_generic(K: int, cardinalities) -> IdentifiabilityReport:
     """Generic identifiability via two meta-features plus the noisy label.
 
     Splits the features into two groups with multiplied outcome spaces
     (tau* = prod kappa_i) and checks
-    min(K, tau1) + min(K, tau2) + min(K, K) >= 2K + 2, enumerating all
-    two-way splits and reporting the best; also requires
+    min(K, tau1) + min(K, tau2) + min(K, K) >= 2K + 2 for the best two-way
+    split (found by `_best_split` in O(d* K^2)); also requires
     d* >= ceil(log2((K+2)/2)). The even split from the generic-identifiability
     argument is not always optimal under uneven cardinalities, so the
     grouping choice matters and is surfaced in the notes.
@@ -235,16 +260,9 @@ def check_generic(K: int, cardinalities) -> IdentifiabilityReport:
             lhs = 0
         return _report(name, lhs, rhs, [], notes)
 
-    best = None
-    for r in range(1, d_star // 2 + 1):
-        for combo in itertools.combinations(range(d_star), r):
-            g1 = set(combo)
-            tau1 = math.prod(cards[i] for i in g1)
-            tau2 = math.prod(cards[i] for i in range(d_star) if i not in g1)
-            score = min(K, tau1) + min(K, tau2) + min(K, K)
-            if best is None or score > best[0]:
-                best = (score, sorted(g1), tau1, tau2)
-    score, g1, tau1, tau2 = best
+    score, g1 = _best_split(K, cards)
+    tau1 = math.prod(cards[i] for i in g1)
+    tau2 = math.prod(cards[i] for i in range(d_star) if i not in g1)
     rhs = 2 * K + 2
     lhs = score if d_star >= d_threshold else 0
     notes = (

@@ -183,6 +183,13 @@ def frobenius_distance(A, B) -> float:
     return float(np.linalg.norm(a - b))
 
 
+def check_align_k(K, what) -> None:
+    """Refuse K above MAX_ALIGN_K, where the K! alignment search stops being
+    practical; `what` names the caller in the message."""
+    if K > MAX_ALIGN_K:
+        raise CapabilityError(f"{what} supports K <= {MAX_ALIGN_K} (MAX_ALIGN_K), got K={K}")
+
+
 def align_permutation(T_hat, T_ref) -> tuple[tuple[int, ...], np.ndarray]:
     """Row permutation of T_hat minimizing the Frobenius distance to T_ref.
 
@@ -194,8 +201,7 @@ def align_permutation(T_hat, T_ref) -> tuple[tuple[int, ...], np.ndarray]:
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
     K = a.shape[0]
-    if K > MAX_ALIGN_K:
-        raise CapabilityError(f"align_permutation supports K <= {MAX_ALIGN_K}")
+    check_align_k(K, "align_permutation")
     # cost[i, j] = squared distance of T_hat row i placed at reference row j
     cost = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
     cols = np.arange(K)
@@ -211,8 +217,7 @@ def max_trace_permutation(T_hat) -> tuple[tuple[int, ...], np.ndarray]:
     """Row permutation maximizing the trace (diagonal dominance convention)."""
     a = _as_array(T_hat)
     K = a.shape[0]
-    if K > MAX_ALIGN_K:
-        raise CapabilityError(f"max_trace_permutation supports K <= {MAX_ALIGN_K}")
+    check_align_k(K, "max_trace_permutation")
     best_perm, best_val = None, -np.inf
     for perm in itertools.permutations(range(K)):
         val = a[perm, np.arange(K)].sum()

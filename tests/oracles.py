@@ -3,12 +3,14 @@
 These deliberately avoid the library's own code paths: exact rational
 arithmetic for rank decisions, direct elementwise sums for norms, plain
 Monte Carlo for distribution summaries, scalar loops for the solver's
-residual and Jacobian, and the csv module, one row at a time, for dataset
-files.
+residual and Jacobian, outer products for the latent-class tensor, loops
+over every axis order or feature split where the library uses polynomial
+shortcuts, and the csv module, one row at a time, for dataset files.
 """
 
 import csv
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -83,6 +85,37 @@ def truncated_normal_mean_mc(mean, sd, low, high, n=2_000_000, seed=123):
         out.append(keep)
         need -= keep.size
     return float(np.concatenate(out).mean())
+
+
+def outer_product_joint(w, mats):
+    """sum_y w[y] * mats[0][y] (x) ... (x) mats[-1][y], one outer product at a
+    time."""
+    out = 0.0
+    for y in range(len(w)):
+        cube = w[y]
+        for M in mats:
+            cube = np.multiply.outer(cube, M[y])
+        out = out + cube
+    return out
+
+
+def permutation_sum(t):
+    """The sum of t over all p! orders of its axes, one transpose each."""
+    return sum(np.transpose(t, perm) for perm in itertools.permutations(range(t.ndim)))
+
+
+def brute_force_generic_split(K, cards):
+    """The largest min(K, tau1) + min(K, tau2) + K over every split of the
+    features into two nonempty groups, tau being the product of a group's
+    cardinalities, by enumerating all 2^(d-1) - 1 splits."""
+    d = len(cards)
+    return max(
+        min(K, math.prod(cards[i] for i in g1))
+        + min(K, math.prod(cards[i] for i in range(d) if i not in g1))
+        + K
+        for r in range(1, d // 2 + 1)
+        for g1 in itertools.combinations(range(d), r)
+    )
 
 
 # Scalar-loop residual and Jacobian of the tied and general latent-class

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +145,17 @@ class TestGenerate:
         assert rows.shape == (50, 3)
         np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-9)
 
+    def test_instance_model_p1_is_the_default(self, tmp_path):
+        doc = {"K": 3, "noise_model": {"type": "instance", "eps": 0.2, "S": 4},
+               "seed": 2, "n": 50}
+        files = []
+        for name, extra in (("plain", {}), ("p1", {"p": 1})):
+            scen = write(tmp_path, f"{name}.json", {**doc, **extra})
+            out = tmp_path / f"{name}.csv"
+            assert main(["generate", scen, "-o", str(out), "--no-timestamp"]) == EXIT_OK
+            files.append(out.read_bytes())
+        assert files[0] == files[1]
+
     def test_strict_requires_seed(self, tmp_path):
         scen = write(
             tmp_path,
@@ -176,6 +188,62 @@ class TestEstimate:
         main(["generate", scen, "-o", str(out), "--no-timestamp"])
         assert main(["estimate", str(out)]) == EXIT_CAPABILITY
         assert "three" in capsys.readouterr().err
+
+    def test_p4_dataset_fits_every_label(self, tmp_path, capsys):
+        scen = write(
+            tmp_path,
+            "p4.json",
+            {"K": 2, "noise_model": {"type": "asymmetric", "eps": 0.2},
+             "seed": 0, "n": 5000, "p": 4},
+        )
+        out = tmp_path / "p4.csv"
+        main(["generate", scen, "-o", str(out), "--no-timestamp"])
+        capsys.readouterr()
+        truth = write(tmp_path, "truth.json", [[0.8, 0.2], [0.2, 0.8]])
+        assert main(
+            ["estimate", str(out), "--truth", truth, "--json", "--no-timestamp"]
+        ) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["converged"] is True
+        assert doc["err"] <= 2.0
+
+    def test_p7_dataset_exit_3_naming_the_cap(self, tmp_path, capsys):
+        scen = write(
+            tmp_path,
+            "p7.json",
+            {"K": 3, "noise_model": {"type": "asymmetric", "eps": 0.2},
+             "seed": 0, "n": 50, "p": 7},
+        )
+        out = tmp_path / "p7.csv"
+        main(["generate", scen, "-o", str(out), "--no-timestamp"])
+        capsys.readouterr()
+        assert main(["estimate", str(out)]) == EXIT_CAPABILITY
+        err = capsys.readouterr().err
+        assert "2187 cells" in err and "MAX_JOINT_CELLS" in err
+
+    def test_K11_exact_exit_3_at_once(self, tmp_path):
+        # 11**3 cells are above MAX_JOINT_CELLS and K=11 above MAX_ALIGN_K;
+        # either cap refuses the input before a fit starts
+        T = (0.5 * np.eye(11) + 0.5 / 11).tolist()
+        scen = write(tmp_path, "k11.json", {"K": 11, "T": T})
+        t0 = time.perf_counter()
+        assert main(["estimate", scen, "--exact", "--restarts", "1"]) == EXIT_CAPABILITY
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_K11_features_exit_3_before_the_fit(self, tmp_path, capsys):
+        # the alignment cap (K <= 10) is checked before any restart runs
+        rng = np.random.default_rng(0)
+        rows = rng.integers(1, 12, size=(200, 4))
+        rows[:, :2] = rng.integers(1, 4, size=(200, 2))
+        rows[:11, 2:] = np.arange(1, 12)[:, None]
+        data = tmp_path / "k11.csv"
+        data.write_text(
+            "r_1,r_2,y,ytilde_1\n" + "".join(",".join(map(str, r)) + "\n" for r in rows)
+        )
+        t0 = time.perf_counter()
+        assert main(["estimate", str(data), "--from-features"]) == EXIT_CAPABILITY
+        assert time.perf_counter() - t0 < 1.0
+        assert "MAX_ALIGN_K" in capsys.readouterr().err
 
     def test_sampled_estimate_with_truth(self, tmp_path, capsys):
         scen = write(
@@ -293,16 +361,23 @@ class TestMalformedInput:
             ("header.csv",
              "y,ytilde_1,ytilde_2,ytilde_3\n",
              ["estimate", "{path}"], "no records"),
+            ("utf8.csv",
+             "y,ytilde_1,ytilde_2,ytilde_3\n1,1,2,1\n2,\udcff,2,2\n",
+             ["estimate", "{path}"], ":3: text that is not UTF-8"),
+            ("inst_p.json",
+             '{"K": 3, "noise_model": {"type": "instance", "eps": 0.2}, "n": 10, "p": 3}',
+             ["generate", "{path}", "-o", "{out}"], "'p'"),
             ("matrix.json",
              '[["a", 0.5], [0.5, 0.5]]',
              ["bound", "{path}", "{path}", "{path}"], "matrix.json"),
         ],
         ids=["missing-eps", "K-not-integer", "csv-cell", "csv-int64-overflow",
-             "csv-header-only", "matrix-cell"],
+             "csv-header-only", "csv-not-utf8", "instance-p", "matrix-cell"],
     )
     def test_exits_2_naming_the_file(self, tmp_path, name, text, argv, located):
         path = tmp_path / name
-        path.write_text(text)
+        # a lone surrogate in text stands for a byte that is not UTF-8
+        path.write_bytes(text.encode(errors="surrogateescape"))
         argv = [a.format(path=path, out=tmp_path / "out.csv") for a in argv]
         self.assert_exits_2(argv, path, located)
 

@@ -1,9 +1,12 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
+from noise_id import consensus
 from noise_id.consensus import (
+    MAX_JOINT_CELLS,
     JointTensor,
     binary_scenario,
     binary_stats,
@@ -19,6 +22,7 @@ from noise_id.consensus import (
 )
 from noise_id.datasets import NoisyDataset
 from noise_id.errors import (
+    CapabilityError,
     DegenerateClassError,
     DimensionError,
     SearchExhaustedError,
@@ -27,6 +31,8 @@ from noise_id.errors import (
 )
 from noise_id.matrices import Prior, Scenario, TransitionMatrix, align_permutation
 from noise_id.noisegen import asymmetric_T, sample_iid_noisy
+
+from .oracles import outer_product_joint, permutation_sum
 
 
 class TestJointTensor:
@@ -40,6 +46,14 @@ class TestJointTensor:
         t = JointTensor(np.full((2, 2), 0.25))
         m = t.marginalize(0)
         np.testing.assert_allclose(m.values, [0.5, 0.5])
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    def test_symmetry_defect_sees_every_swap(self, p):
+        assert JointTensor(np.full((2,) * p, 0.5**p)).symmetry_defect() == 0.0
+        for cell in range(1, 2**p - 1):
+            v = np.zeros(2**p)
+            v[cell] = 1.0
+            assert JointTensor(v.reshape((2,) * p)).symmetry_defect() == 1.0
 
 
 class TestExactJoint:
@@ -60,6 +74,19 @@ class TestExactJoint:
         a = exact_joint(binary_scenario(0.7, 0.2, 0.2), 2).values
         b = exact_joint(binary_scenario(0.8, 0.242, 0.07), 2).values
         assert np.abs(a - b).max() < 1e-3
+
+    @pytest.mark.parametrize("p", [1, 4, 6])
+    def test_matches_outer_products(self, p):
+        s = Scenario(T=asymmetric_T(3, 0.3), prior=Prior([0.2, 0.3, 0.5]))
+        want = outer_product_joint(s.prior.weights, [s.T.entries] * p)
+        np.testing.assert_allclose(exact_joint(s, p).values, want, rtol=0, atol=1e-16)
+
+    def test_cell_cap_before_allocating(self):
+        s = binary_scenario(0.6, 0.1, 0.3)
+        assert exact_joint(s, 10).p == 10  # 1024 cells, at the cap
+        for p in (11, 200):
+            with pytest.raises(CapabilityError, match="MAX_JOINT_CELLS"):
+                exact_joint(s, p)
 
     def test_marginalization_consistency(self):
         s = Scenario(T=asymmetric_T(3, 0.3), prior=Prior([0.2, 0.3, 0.5]))
@@ -88,6 +115,39 @@ class TestEmpiricalJoint:
         )
         t = empirical_joint(ds)
         assert t.symmetry_defect() == 0.0
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    def test_axis_order_sum_equals_permutation_loop(self, p):
+        counts = np.random.default_rng(p).integers(0, 1000, size=(3,) * p)
+        got = consensus._sum_over_axis_orders(counts)
+        np.testing.assert_array_equal(got, permutation_sum(counts))
+
+    def test_four_labels_counted_and_symmetrized(self):
+        ds = sample_iid_noisy(
+            Prior([0.3, 0.3, 0.4]), asymmetric_T(3, 0.3), p=4, n=2000, seed=3
+        )
+        counts = np.zeros((3,) * 4)
+        for row in ds.noisy - 1:
+            counts[tuple(row)] += 1
+        want = permutation_sum(counts) / (math.factorial(4) * ds.n)
+        t = empirical_joint(ds)
+        assert t.symmetry_defect() == 0.0
+        np.testing.assert_allclose(t.values, want, rtol=1e-15, atol=0)
+
+    def test_no_labels(self):
+        ds = NoisyDataset(
+            y=[1, 2], noisy=np.zeros((2, 0)), K=2, provenance={"model": "manual"}
+        )
+        with pytest.raises(ValidationError, match="no noisy labels"):
+            empirical_joint(ds)
+
+    def test_cell_cap(self):
+        ds = sample_iid_noisy(
+            Prior([0.3, 0.3, 0.4]), asymmetric_T(3, 0.3), p=7, n=20, seed=3
+        )
+        assert 3**7 > MAX_JOINT_CELLS >= 10**3
+        with pytest.raises(CapabilityError, match="MAX_JOINT_CELLS"):
+            empirical_joint(ds)
 
     def test_converges_to_exact(self):
         s = binary_scenario(0.7, 0.1, 0.2)
@@ -162,6 +222,50 @@ class TestEstimate:
         s = binary_scenario(0.6, 0.1, 0.3)
         with pytest.raises(ValidationError):
             estimate(exact_joint(s, 2))
+        # one class: 1 cell at any order, which no fit is needed for
+        with pytest.raises(ValidationError, match="K >= 2"):
+            estimate(JointTensor(np.ones((1,) * 30)))
+
+    @pytest.mark.parametrize("K,p", [(3, 4), (2, 5)])
+    def test_more_labels_exact(self, K, p):
+        rng = np.random.default_rng(10 * K + p)
+        w = rng.dirichlet(np.full(K, 4.0))
+        T = 0.5 * np.eye(K) + 0.5 * rng.dirichlet(np.ones(K), size=K)
+        s = Scenario(T=TransitionMatrix(T), prior=Prior(w))
+        result = estimate(exact_joint(s, p), seed=0)
+        assert result.converged
+        np.testing.assert_allclose(result.scenario.T.entries, T, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(result.scenario.prior.weights, w, rtol=0, atol=1e-9)
+
+    def test_four_labels_beat_three(self):
+        # sampled sweep: fitting all four labels recovers T better than
+        # fitting the first three of the same records
+        K, n = 3, 20_000
+        rng = np.random.default_rng(0)
+        errs = {3: [], 4: []}
+        for _ in range(6):
+            w = rng.dirichlet(np.full(K, 4.0))
+            T = 0.5 * np.eye(K) + 0.5 * rng.dirichlet(np.ones(K), size=K)
+            ds = sample_iid_noisy(
+                Prior(w), TransitionMatrix(T), 4, n, int(rng.integers(2**31))
+            )
+            for p in (3, 4):
+                sub = NoisyDataset(
+                    y=ds.y, noisy=ds.noisy[:, :p], K=K, provenance=ds.provenance
+                )
+                result = estimate(empirical_joint(sub), seed=0, n=n)
+                errs[p].append(err_metric(result.scenario.T.entries, T, True))
+        assert np.median(errs[4]) < np.median(errs[3])
+
+    def test_K_above_align_cap_refused_before_the_fit(self):
+        K = 11
+        w = np.full(K, 1 / K)
+        T = 0.5 * np.eye(K) + 0.5 / K
+        joint = JointTensor(outer_product_joint(w, [T] * 3))
+        t0 = time.perf_counter()
+        with pytest.raises(CapabilityError, match="MAX_ALIGN_K"):
+            estimate(joint, restarts=1)
+        assert time.perf_counter() - t0 < 1.0
 
     def test_rejects_asymmetric_tensor(self):
         v = np.zeros((2, 2, 2))

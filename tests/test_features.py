@@ -1,7 +1,15 @@
+import time
+
 import numpy as np
 import pytest
 
-from noise_id.errors import ConvergenceWarning, DimensionError, ValidationError
+from noise_id.datasets import NoisyDataset
+from noise_id.errors import (
+    CapabilityError,
+    ConvergenceWarning,
+    DimensionError,
+    ValidationError,
+)
 from noise_id.features import (
     FeatureModel,
     empirical_three_view,
@@ -198,6 +206,14 @@ class TestFitThreeView:
         with pytest.raises(ValidationError):
             fit_three_view(np.full((2, 2, 3), 1 / 12), K=2)
 
+    def test_K_above_align_cap_refused_before_the_fit(self):
+        K = 11
+        tensor = np.full((2, 2, K), 1 / (4 * K))
+        t0 = time.perf_counter()
+        with pytest.raises(CapabilityError, match="MAX_ALIGN_K"):
+            fit_three_view(tensor, K=K, restarts=1)
+        assert time.perf_counter() - t0 < 1.0
+
     def test_success_rate_on_random_identifiable_configs(self):
         rng = np.random.default_rng(123)
         ok = 0
@@ -233,6 +249,21 @@ class TestEstimateFromFeatures:
         tensor = empirical_three_view(ds)
         assert tensor.shape == (3, 3, 2)
         assert tensor.sum() == pytest.approx(1.0)
+
+    def test_empirical_three_view_counts(self):
+        _, _, ds = self._dataset(1000, 2)
+        want = np.zeros((3, 3, 2))
+        for (a, b), c in zip(ds.r - 1, ds.noisy[:, 0] - 1):
+            want[a, b, c] += 1
+        np.testing.assert_array_equal(empirical_three_view(ds), want / ds.n)
+
+    def test_empirical_three_view_rejects_feature_value_0(self):
+        ds = NoisyDataset(
+            y=[1, 2], noisy=[1, 2], K=2, provenance={"model": "manual"},
+            r=[[1, 0], [2, 1]],
+        )
+        with pytest.raises(ValidationError, match=">= 1"):
+            empirical_three_view(ds)
 
     def test_sampled_recovery(self):
         _, T, ds = self._dataset(300_000, 1)

@@ -1,3 +1,6 @@
+import re
+import time
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,7 @@ from noise_id.identifiability import (
 )
 from noise_id.matrices import ObsMatrix, TransitionMatrix
 
-from .oracles import brute_force_kruskal
+from .oracles import brute_force_generic_split, brute_force_kruskal
 
 FULL_RANK_2 = TransitionMatrix([[0.8, 0.2], [0.3, 0.7]])
 ADJACENT_3 = TransitionMatrix([[0.7, 0.3, 0.0], [0.0, 0.7, 0.3], [0.3, 0.0, 0.7]])
@@ -197,3 +200,26 @@ class TestGeneric:
     def test_cardinality_validation(self):
         with pytest.raises(ValidationError):
             check_generic(2, [2, 1])
+
+    def test_best_split_matches_enumeration(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            K = int(rng.integers(1, 7))
+            cards = [int(c) for c in rng.integers(2, 6, size=rng.integers(2, 9))]
+            r = check_generic(K, cards)
+            best = brute_force_generic_split(K, cards)
+            enough = len(cards) >= np.ceil(np.log2((K + 2) / 2))
+            assert r.lhs == (best if enough else 0), (K, cards)
+            # the split the notes name reaches the maximum
+            g1 = [int(i) for i in re.search(r"features \[([\d, ]*)\]", r.notes)[1].split(",")]
+            g2 = [i for i in range(len(cards)) if i not in g1]
+            assert g1 and g2
+            tau = [int(np.prod([cards[i] for i in g])) for g in (g1, g2)]
+            assert f"tau* = {tau[0]}" in r.notes and f"tau* = {tau[1]}" in r.notes
+            assert min(K, tau[0]) + min(K, tau[1]) + K == best
+
+    def test_forty_features_in_polynomial_time(self):
+        t0 = time.perf_counter()
+        r = check_generic(3, [2] * 40)
+        assert time.perf_counter() - t0 < 1.0
+        assert (r.lhs, r.rhs, r.verdict) == (9, 8, IDENTIFIABLE)

@@ -6,7 +6,7 @@ import pytest
 
 from noise_id import _kernels
 
-from .oracles import _gen_residual_jac, _sym_residual_jac
+from .oracles import _gen_residual_jac, _sym_residual_jac, outer_product_joint
 
 
 def num_grad(fun, theta, h=1e-6):
@@ -19,15 +19,33 @@ def num_grad(fun, theta, h=1e-6):
     return g
 
 
-def sym_target(K, seed):
+def sym_target(K, seed, p=3):
     rng = np.random.default_rng(seed)
     w = rng.dirichlet(np.ones(K))
     T = rng.dirichlet(np.ones(K), size=K)
-    return np.einsum("y,ya,yb,yc->abc", w, T, T, T)
+    return outer_product_joint(w, [T] * p)
 
 
 def sym_residual_jac(theta, target, K):
-    return _kernels._residual_jac(theta, target, K, (K,), True)
+    return _kernels._residual_jac(theta, target, K, (K,))
+
+
+class TestForward:
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    def test_tied_matches_outer_products(self, p):
+        rng = np.random.default_rng(p)
+        w = rng.dirichlet(np.ones(3))
+        T = rng.dirichlet(np.ones(3), size=3)
+        want = outer_product_joint(w, [T] * p)
+        np.testing.assert_allclose(_kernels.forward(w, [T] * p), want, rtol=0, atol=1e-16)
+
+    def test_distinct_matches_outer_products(self):
+        rng = np.random.default_rng(4)
+        w = rng.dirichlet(np.ones(2))
+        mats = [rng.dirichlet(np.ones(d), size=2) for d in (2, 4, 3, 2)]
+        got = _kernels.forward(w, mats)
+        assert got.shape == (2, 4, 3, 2)
+        np.testing.assert_allclose(got, outer_product_joint(w, mats), rtol=0, atol=1e-16)
 
 
 class TestResidualJacobian:
@@ -47,16 +65,16 @@ class TestResidualJacobian:
         mats = [rng.dirichlet(np.ones(d), size=K) for d in dims]
         target = np.einsum("y,ya,yb,yc->abc", w, *mats)
         theta = rng.standard_normal(K + K * sum(dims))
-        r, J = _kernels._residual_jac(theta, target, K, dims, False)
+        r, J = _kernels._residual_jac(theta, target, K, dims)
         r0, J0 = _gen_residual_jac(theta, target, K, *dims)
         assert np.abs(r - r0).max() < 1e-14
         assert np.abs(J - J0).max() < 1e-14
 
 
 class TestSymmetricKernel:
-    @pytest.mark.parametrize("K", [2, 3])
-    def test_gradient_matches_finite_differences(self, K):
-        target = sym_target(K, 0)
+    @pytest.mark.parametrize("K,p", [(2, 3), (3, 3), (2, 4), (3, 4), (2, 5)])
+    def test_gradient_matches_finite_differences(self, K, p):
+        target = sym_target(K, 0, p)
         rng = np.random.default_rng(1)
         theta = rng.standard_normal(K + K * K)
         r, J = sym_residual_jac(theta, target, K)
@@ -67,9 +85,9 @@ class TestSymmetricKernel:
 
         assert np.abs(2.0 * (r @ J) - num_grad(value, theta)).max() < 1e-7
 
-    @pytest.mark.parametrize("K", [2, 3])
-    def test_jacobian_matches_finite_differences(self, K):
-        target = sym_target(K, 2)
+    @pytest.mark.parametrize("K,p", [(2, 3), (3, 3), (2, 4), (3, 4), (2, 5)])
+    def test_jacobian_matches_finite_differences(self, K, p):
+        target = sym_target(K, 2, p)
         rng = np.random.default_rng(3)
         theta = rng.standard_normal(K + K * K)
         r, J = sym_residual_jac(theta, target, K)
@@ -101,10 +119,10 @@ class TestGeneralKernel:
         mats = [rng.dirichlet(np.ones(d), size=K) for d in dims]
         target = np.einsum("y,ya,yb,yc->abc", w, *mats)
         theta = rng.standard_normal(K + K * sum(dims))
-        r, J = _kernels._residual_jac(theta, target, K, dims, False)
+        r, J = _kernels._residual_jac(theta, target, K, dims)
 
         def value(t):
-            rt = _kernels._residual_jac(t, target, K, dims, False)[0]
+            rt = _kernels._residual_jac(t, target, K, dims)[0]
             return rt @ rt
 
         assert np.abs(2.0 * (r @ J) - num_grad(value, theta)).max() < 1e-7
@@ -131,7 +149,7 @@ class TestBoundaryRefinement:
         # perturb towards the interior as a softmax fit would leave it
         w0 = np.array([0.5001, 0.4999])
         T0 = np.array([[0.999999, 1e-6], [1e-6, 0.999999]])
-        f, w2, out = _kernels.refine_boundary(target, w0, [T0], tied=True)
+        f, w2, out = _kernels.refine_boundary(target, w0, [T0])
         assert f < 1e-25
         np.testing.assert_array_equal(out[0][0, 1], 0.0)
 
@@ -139,7 +157,7 @@ class TestBoundaryRefinement:
         w = np.array([0.5, 0.5])
         T = np.array([[0.8, 0.2], [0.3, 0.7]])
         target = np.einsum("y,ya,yb,yc->abc", w, T, T, T)
-        assert _kernels.refine_boundary(target, w, [T], tied=True) is None
+        assert _kernels.refine_boundary(target, w, [T]) is None
 
     @pytest.mark.parametrize("w", [[0.5, 0.3, 0.2], [0.6, 0.4, 0.0]])
     def test_general_pins_zero_pattern(self, w):
@@ -159,10 +177,10 @@ class TestBoundaryRefinement:
         start = [nudge(P) for P in (w, A, B, C)]
         # a 0 * inf anywhere on the pinned logits would raise here
         with np.errstate(invalid="raise"):
-            f, w2, out = _kernels.refine_boundary(target, start[0], start[1:], tied=False)
+            f, w2, out = _kernels.refine_boundary(target, start[0], start[1:])
             with np.errstate(divide="ignore"):
                 theta = np.concatenate([np.log(P).ravel() for P in [w2, *out]])
-            r, J = _kernels._residual_jac(theta, target, K, (3, 4, 3), False)
+            r, J = _kernels._residual_jac(theta, target, K, (3, 4, 3))
         assert out[0][0, 2] == 0.0
         assert f < 1e-25
         assert not np.isnan(r).any() and not np.isnan(J).any()
