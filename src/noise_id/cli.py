@@ -34,7 +34,8 @@ EXIT_SEARCH = 4
 SCENARIO_FIELDS = {
     "K", "prior", "T", "noise_model", "features", "groups", "seed", "n", "p",
 }
-NOISE_MODELS = {"asymmetric", "instance", "part_dependent", "explicit"}
+# a tuple, not a set: `in` must not hash the value, which may be a JSON list
+NOISE_MODELS = ("asymmetric", "explicit", "instance", "part_dependent")
 
 
 _REQUIRED = object()
@@ -52,7 +53,7 @@ def _field(path, doc, key, cast, default=_REQUIRED, section=""):
         return default
     try:
         return cast(value)
-    except (TypeError, ValueError, OverflowError) as e:
+    except (TypeError, ValueError, OverflowError, argparse.ArgumentTypeError) as e:
         raise ValidationError(f"{path}: field '{name}': {e}") from None
 
 
@@ -60,8 +61,29 @@ def _floats(v):
     return np.asarray(v, dtype=float)
 
 
+def _int_at_least(least):
+    """A cast to an int >= least, for `_field` and for argparse (which
+    names it "int" when int() fails)."""
+
+    def cast(v):
+        n = int(v)
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {n}")
+        return n
+
+    cast.__name__ = "int"
+    return cast
+
+
 def _ints(v):
     return v if isinstance(v, int) else [int(c) for c in v]
+
+
+def _seed(v):
+    """v itself, once np.random.SeedSequence takes it as entropy: an int
+    >= 0 or a list of them."""
+    np.random.SeedSequence(v)
+    return v
 
 
 class ScenarioFile:
@@ -76,9 +98,9 @@ class ScenarioFile:
         self.K = _field(path, doc, "K", int)
         if self.K < 1:
             raise ValidationError(f"{path}: field 'K' must be >= 1")
-        self.seed = doc.get("seed")
-        self.n = _field(path, doc, "n", int, 0) or None
-        self.p = _field(path, doc, "p", int, 0) or None
+        self.seed = _field(path, doc, "seed", _seed, None)
+        self.n = _field(path, doc, "n", _int_at_least(0), 0) or None
+        self.p = _field(path, doc, "p", _int_at_least(0), 0) or None
         self.path = path
 
         uniform = np.full(self.K, 1.0 / self.K)
@@ -95,7 +117,7 @@ class ScenarioFile:
         if nm["type"] in ("asymmetric", "instance"):
             self.eps = _field(path, nm, "eps", float, section="noise_model")
         if nm["type"] == "instance":
-            self.S = _field(path, nm, "S", int, 10, section="noise_model")
+            self.S = _field(path, nm, "S", _int_at_least(0), 10, section="noise_model")
 
         self.T = None
         if nm["type"] == "asymmetric":
@@ -215,9 +237,7 @@ def cmd_check(args) -> int:
             sf.min_kruskal,
             seed=_require_seed(args, sf),
         )
-        report = identifiability.check_group_features(
-            sf.scenario().T, features.stack_observations(None, fm)
-        )
+        report = identifiability.check_group_features(sf.scenario().T, fm)
     elif mode == "unknown-groups":
         if sf.features is None or sf.groups is None:
             raise ValidationError(
@@ -290,26 +310,19 @@ def cmd_estimate(args) -> int:
     seed = _require_seed(args)
     if args.exact:
         sf = load_scenario(args.source)
-        p = _labels_for_recovery(sf.p or 3)
-        joint = consensus.exact_joint(sf.scenario(), p)
+        joint = consensus.exact_joint(sf.scenario(), sf.p or 3)
         result = consensus.estimate(joint, restarts=args.restarts, seed=seed)
         truth = sf.scenario().T.entries if args.truth is None else load_matrix(args.truth)
     else:
         ds = NoisyDataset.from_csv(args.source)
         if args.from_features:
-            if ds.r is None or ds.r.shape[1] < 2 or ds.p < 1:
-                raise CapabilityError(
-                    "feature-path estimation needs two feature columns plus a "
-                    "noisy label (three observed variables)"
-                )
-            result = features.estimate_from_features(
-                ds, ds.K, restarts=args.restarts, seed=seed
+            result = features.fit_three_view(
+                features.empirical_three_view(ds), ds.K,
+                restarts=args.restarts, seed=seed, n=ds.n,
             )
         else:
-            _labels_for_recovery(ds.p)
-            joint = consensus.empirical_joint(ds)
             result = consensus.estimate(
-                joint, restarts=args.restarts, seed=seed, n=ds.n
+                consensus.empirical_joint(ds), restarts=args.restarts, seed=seed, n=ds.n
             )
         truth = load_matrix(args.truth) if args.truth else None
     report = {
@@ -326,17 +339,6 @@ def cmd_estimate(args) -> int:
         )
     emit(report, args)
     return EXIT_OK
-
-
-def _labels_for_recovery(p):
-    """p, the number of i.i.d. noisy labels per record, all of which
-    estimate fits; fewer than three raise CapabilityError."""
-    if p < 3:
-        raise CapabilityError(
-            f"p={p} noisy labels per record; three conditionally "
-            "independent labels are required for instance-level recovery"
-        )
-    return p
 
 
 def cmd_witness(args) -> int:
@@ -405,13 +407,6 @@ def cmd_bound(args) -> int:
     return EXIT_OK
 
 
-def _positive_int(text):
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
-    return n
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="noise-id",
@@ -423,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
         p.add_argument("--no-timestamp", action="store_true")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=_int_at_least(0), default=None)
         p.add_argument("--strict", action="store_true", help="require an explicit seed")
 
     p = sub.add_parser("check", help="run an identifiability checker")
@@ -451,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("source", help="dataset CSV, or scenario file with --exact")
     p.add_argument("--exact", action="store_true", help="fit the exact forward joint")
     p.add_argument("--from-features", action="store_true")
-    p.add_argument("--restarts", type=_positive_int, default=20)
+    p.add_argument("--restarts", type=_int_at_least(1), default=20)
     p.add_argument("--truth", default=None, help="matrix file for error reporting")
     common(p)
     p.set_defaults(func=cmd_estimate)
@@ -465,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate-2nn", help="triplet process and 2-NN satisfaction")
     p.add_argument("params")
-    p.add_argument("--trials", type=_positive_int, default=100)
+    p.add_argument("--trials", type=_int_at_least(1), default=100)
     common(p)
     p.set_defaults(func=cmd_simulate_2nn)
 

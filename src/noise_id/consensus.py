@@ -25,6 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .matrices import (
+    ObsMatrix,
     Prior,
     Scenario,
     TransitionMatrix,
@@ -45,15 +46,13 @@ WITNESS_GRID = 389
 @dataclass(frozen=True)
 class JointTensor:
     """Order-p probability tensor over the joint outcomes of p observed
-    K-ary variables."""
+    K-ary variables; the joint of p = 0 variables is the scalar 1."""
 
     values: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim < 1:
-            raise ValidationError("joint tensor must have order >= 1")
-        if len(set(v.shape)) != 1:
+        if len(set(v.shape)) > 1:
             raise ValidationError("all axes must share the same cardinality")
         if (v < -1e-12).any():
             raise ValidationError("joint tensor values must be >= 0")
@@ -126,12 +125,13 @@ def empirical_joint(ds: NoisyDataset) -> JointTensor:
     over axis orders (valid for i.i.d. labels): the counts are summed over
     all p! orders and divided once. Raises CapabilityError above
     MAX_JOINT_CELLS cells."""
-    if ds.n == 0 or ds.p == 0:
-        raise ValidationError("empty dataset or no noisy labels")
+    if ds.n == 0:
+        raise ValidationError("empty dataset")
     K, p = ds.K, ds.p
     _check_cells(K, p)
     shape = (K,) * p
-    cells = np.ravel_multi_index(tuple((ds.noisy - 1).T), shape)
+    # one cell index per record (ravel_multi_index gives one scalar at p = 0)
+    cells = np.broadcast_to(np.ravel_multi_index(tuple((ds.noisy - 1).T), shape), ds.n)
     counts = np.bincount(cells, minlength=K**p).reshape(shape)
     return JointTensor(_sum_over_axis_orders(counts) / (math.factorial(p) * ds.n))
 
@@ -166,8 +166,8 @@ def binary_scenario(gamma: float, e_plus: float, e_minus: float) -> Scenario:
 
 @dataclass
 class EstimateResult:
-    """A recovered scenario and how the solve got there; three-view fits
-    also carry their two feature matrices (A, B)."""
+    """A recovered scenario and how the solve got there; a fit with distinct
+    factors also carries those of its other axes (three views: A and B)."""
 
     scenario: Scenario
     residual: float
@@ -177,8 +177,34 @@ class EstimateResult:
     per_restart_residuals: list
     feature_models: tuple = ()
 
-    def __iter__(self):
-        return iter((self.scenario, self.residual))
+
+def fit(target, K, dims, restarts=20, seed=0, n=math.inf) -> EstimateResult:
+    """Fit a latent-class model over K hidden states to the tensor `target`
+    estimated from n records (n = inf: an exact tensor), by `_kernels.solve`.
+    One entry in `dims` ties one K x K factor to every axis; one entry per
+    axis fits distinct K x dims[k] factors.
+
+    The last factor is the noisy label's transition matrix; the hidden
+    states are ordered to maximize its trace (diagonal dominance), and the
+    other factors, in the same order, are the `feature_models` (a tied fit
+    has none). `residual` is the Frobenius norm of the remaining mismatch,
+    and `converged` says whether a restart reached the sampling noise of n
+    records (if not, the best fit comes with a ConvergenceWarning). K above
+    MAX_ALIGN_K raises CapabilityError before any fit.
+    """
+    check_align_k(K, "fit")
+    f, w, mats, per_restart, converged = _kernels.solve(target, K, dims, restarts, seed, n)
+    perm, T_aligned = max_trace_permutation(mats[-1])
+    idx = list(perm)
+    return EstimateResult(
+        scenario=Scenario(T=TransitionMatrix(T_aligned), prior=Prior(w[idx] / w[idx].sum())),
+        residual=math.sqrt(f),
+        restarts_used=len(per_restart),
+        converged=converged,
+        permutation=perm,
+        per_restart_residuals=per_restart,
+        feature_models=tuple(ObsMatrix(m[idx]) for m in mats[:-1]),
+    )
 
 
 def estimate(
@@ -189,46 +215,30 @@ def estimate(
 ) -> EstimateResult:
     """Recover (prior, T) from a symmetric joint tensor of order p >= 3 (p
     i.i.d. noisy labels, all of them fitted) estimated from n records (the
-    default, n = inf, is an exact tensor).
-
-    Multi-start local search (`_kernels.solve`): the first restart within
-    the sampling noise of n records (1e-10 for an exact tensor) ends it, and
-    `converged` says whether one got there (if not, the best fit comes with a
-    ConvergenceWarning). The output is aligned to a maximal trace (diagonal
-    dominance). `residual` is the Frobenius norm of the remaining tensor
-    mismatch; `per_restart_residuals` holds it for each restart. K above
-    MAX_ALIGN_K raises CapabilityError before any fit.
-    """
-    if joint.p < 3 or joint.K < 2:
-        raise ValidationError("estimate requires a joint tensor of order p >= 3 and K >= 2")
-    check_align_k(joint.K, "estimate")
+    default, n = inf, is an exact tensor), by a tied `fit`. Fewer than three
+    labels raise CapabilityError. A converged fit that violates the
+    uniqueness preconditions (non-degenerate prior, full-rank T) comes with
+    a warning."""
+    if joint.p < 3:
+        raise CapabilityError(
+            f"p={joint.p} noisy labels per record; three conditionally "
+            "independent labels are required for instance-level recovery"
+        )
+    if joint.K < 2:
+        raise ValidationError("estimate requires a joint tensor over K >= 2 classes")
     defect = joint.symmetry_defect()
     if defect > SYMMETRY_TOL:
         raise ValidationError(
             f"tensor is not symmetric (defect {defect:.3g}); symmetrize first"
         )
-    f, w, (T,), per_restart, converged = _kernels.solve(
-        joint.values, joint.K, (joint.K,), restarts, seed, n
-    )
-    perm, T_aligned = max_trace_permutation(T)
-    w_aligned = w[list(perm)]
-    scenario = Scenario(
-        T=TransitionMatrix(T_aligned), prior=Prior(w_aligned / w_aligned.sum())
-    )
-    if converged:
-        if not scenario.prior.non_degenerate or not is_informative_label(scenario.T):
-            warnings.warn(
-                "recovered parameters violate the uniqueness preconditions "
-                "(non-degenerate prior, full-rank T); the solution may not be unique"
-            )
-    return EstimateResult(
-        scenario=scenario,
-        residual=math.sqrt(f),
-        restarts_used=len(per_restart),
-        converged=converged,
-        permutation=perm,
-        per_restart_residuals=per_restart,
-    )
+    result = fit(joint.values, joint.K, (joint.K,), restarts, seed, n)
+    s = result.scenario
+    if result.converged and not (s.prior.non_degenerate and is_informative_label(s.T)):
+        warnings.warn(
+            "recovered parameters violate the uniqueness preconditions "
+            "(non-degenerate prior, full-rank T); the solution may not be unique"
+        )
+    return result
 
 
 @dataclass(frozen=True)

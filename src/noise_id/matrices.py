@@ -190,6 +190,19 @@ def check_align_k(K, what) -> None:
         raise CapabilityError(f"{what} supports K <= {MAX_ALIGN_K} (MAX_ALIGN_K), got K={K}")
 
 
+def _best_permutation(score) -> tuple[int, ...]:
+    """The permutation perm maximizing sum_j score[perm[j], j] over all K!
+    of them; the lexicographically smallest one wins ties (within 1e-15)."""
+    K = score.shape[0]
+    cols = np.arange(K)
+    best_perm, best_val = None, -np.inf
+    for perm in itertools.permutations(range(K)):
+        val = score[perm, cols].sum()
+        if val > best_val + 1e-15:
+            best_perm, best_val = perm, val
+    return best_perm
+
+
 def align_permutation(T_hat, T_ref) -> tuple[tuple[int, ...], np.ndarray]:
     """Row permutation of T_hat minimizing the Frobenius distance to T_ref.
 
@@ -200,27 +213,17 @@ def align_permutation(T_hat, T_ref) -> tuple[tuple[int, ...], np.ndarray]:
     a, b = _as_array(T_hat), _as_array(T_ref)
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    K = a.shape[0]
-    check_align_k(K, "align_permutation")
-    # cost[i, j] = squared distance of T_hat row i placed at reference row j
+    check_align_k(a.shape[0], "align_permutation")
+    # cost[i, j] = squared distance of T_hat row i placed at reference row j;
+    # negating it is exact, so the search compares the same sums
     cost = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-    cols = np.arange(K)
-    best_perm, best_val = None, np.inf
-    for perm in itertools.permutations(range(K)):
-        val = cost[perm, cols].sum()
-        if val < best_val - 1e-15:
-            best_perm, best_val = perm, val
-    return best_perm, a[list(best_perm)]
+    perm = _best_permutation(-cost)
+    return perm, a[list(perm)]
 
 
 def max_trace_permutation(T_hat) -> tuple[tuple[int, ...], np.ndarray]:
     """Row permutation maximizing the trace (diagonal dominance convention)."""
     a = _as_array(T_hat)
-    K = a.shape[0]
-    check_align_k(K, "max_trace_permutation")
-    best_perm, best_val = None, -np.inf
-    for perm in itertools.permutations(range(K)):
-        val = a[perm, np.arange(K)].sum()
-        if val > best_val + 1e-15:
-            best_perm, best_val = perm, val
-    return best_perm, a[list(best_perm)]
+    check_align_k(a.shape[0], "max_trace_permutation")
+    perm = _best_permutation(a)
+    return perm, a[list(perm)]

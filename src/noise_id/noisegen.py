@@ -100,6 +100,8 @@ def instance_noise(features, clean, eps: float, K: int, seed):
         raise ValidationError("features must be finite")
     if not 0.0 <= eps <= 1.0:
         raise ValidationError("eps must lie in [0, 1]")
+    if K < 2:
+        raise ValidationError(f"instance noise needs K >= 2 classes to flip between, got K={K}")
     if y.min() < 1 or y.max() > K:
         raise ValidationError(f"clean labels must lie in 1..{K}")
     n, S = x.shape

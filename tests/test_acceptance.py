@@ -22,10 +22,11 @@ from noise_id.consensus import (
     mpe_noise_rates,
     witness_p2,
 )
-from noise_id.features import exact_three_view_joint, fit_three_view, stack_observations
+from noise_id.features import exact_three_view_joint, fit_three_view
 from noise_id.features import gen_feature_model
 from noise_id.identifiability import (
     IDENTIFIABLE,
+    ObservationModel,
     check_group_features,
     check_instance_three_labels,
     check_kruskal_sum,
@@ -240,10 +241,10 @@ def test_criterion_11_feature_path_and_checker():
             if abs(np.linalg.det(Tm)) > 1e-2:
                 break
         Tm = TransitionMatrix(Tm)
-        group = check_group_features(Tm, stack_observations(None, fm))
+        group = check_group_features(Tm, fm)
         # the group verdict uses the guaranteed bound Kr(T) + 2 d* >= 2K + d*;
         # it must never claim identifiability the raw sum condition rejects
-        stack = check_kruskal_sum(stack_observations(Tm, fm))
+        stack = check_kruskal_sum(ObservationModel((Tm.as_obs(), *fm.models), K))
         if group.verdict == IDENTIFIABLE:
             agree &= stack.verdict == IDENTIFIABLE
     report(11, "feature-path exact recovery at 1e-6; group checker consistent "

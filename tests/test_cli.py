@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import noise_id
 from noise_id.cli import (
@@ -16,6 +21,7 @@ from noise_id.cli import (
     EXIT_VALIDATION,
     main,
 )
+from noise_id.errors import ConvergenceWarning
 
 
 def write(tmp_path, name, doc):
@@ -262,6 +268,31 @@ class TestEstimate:
         doc = json.loads(capsys.readouterr().out)
         assert doc["err"] <= 2.0
 
+    @pytest.mark.parametrize(
+        "name, text, argv, message",
+        [
+            ("p0.csv", "y\n1\n2\n", [], "p=0 noisy labels"),
+            ("p1.csv", "y,ytilde_1\n1,1\n2,2\n", [], "p=1 noisy labels"),
+            ("p2.csv", "y,ytilde_1,ytilde_2\n1,1,2\n2,2,2\n", [], "p=2 noisy labels"),
+            ("p2.json", '{"K": 2, "T": [[0.9, 0.1], [0.3, 0.7]], "p": 2}', ["--exact"],
+             "p=2 noisy labels"),
+            ("r1.csv", "r_1,y,ytilde_1\n1,1,1\n2,2,2\n", ["--from-features"],
+             "feature-path estimation needs two feature columns plus a noisy "
+             "label (three observed variables)"),
+        ],
+        ids=["csv-p0", "csv-p1", "csv-p2", "exact-p2", "one-feature"],
+    )
+    def test_too_few_observations_exit_3(self, tmp_path, capsys, name, text, argv, message):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["estimate", str(path), *argv]) == EXIT_CAPABILITY
+        if message.startswith("p="):
+            message += (
+                " per record; three conditionally independent labels are "
+                "required for instance-level recovery"
+            )
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_deterministic_report(self, binary_scenario_file, capsys):
         main(["estimate", binary_scenario_file, "--exact", "--no-timestamp"])
         first = capsys.readouterr().out
@@ -313,9 +344,10 @@ class TestSimulate2nn:
 
     def test_below_threshold_flagged(self, tmp_path, capsys):
         path = self.params(tmp_path, 3)
-        assert main(
-            ["simulate-2nn", path, "--trials", "5", "--json", "--no-timestamp"]
-        ) == EXIT_OK
+        with pytest.warns(UserWarning, match="no triplets formed"):
+            assert main(
+                ["simulate-2nn", path, "--trials", "5", "--json", "--no-timestamp"]
+            ) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert doc["clears_threshold"] is False
 
@@ -370,9 +402,29 @@ class TestMalformedInput:
             ("matrix.json",
              '[["a", 0.5], [0.5, 0.5]]',
              ["bound", "{path}", "{path}", "{path}"], "matrix.json"),
+            ("seed_word.json",
+             '{"K": 2, "T": [[0.9, 0.1], [0.2, 0.8]], "n": 10, "seed": "x"}',
+             ["generate", "{path}", "-o", "{out}"], "'seed'"),
+            ("seed_neg.json",
+             '{"K": 2, "T": [[0.9, 0.1], [0.2, 0.8]], "n": 10, "seed": -1}',
+             ["generate", "{path}", "-o", "{out}"], "'seed'"),
+            ("seed_float.json",
+             '{"K": 2, "T": [[0.9, 0.1], [0.2, 0.8]], "n": 10, "seed": 1.5}',
+             ["generate", "{path}", "-o", "{out}"], "'seed'"),
+            ("inst_n.json",
+             '{"K": 3, "noise_model": {"type": "instance", "eps": 0.2}, "n": -3}',
+             ["generate", "{path}", "-o", "{out}"], "'n': must be >= 0"),
+            ("inst_S.json",
+             '{"K": 3, "noise_model": {"type": "instance", "eps": 0.2, "S": -2}, "n": 10}',
+             ["generate", "{path}", "-o", "{out}"], "'noise_model.S': must be >= 0"),
+            ("type_list.json",
+             '{"K": 2, "noise_model": {"type": []}, "n": 10}',
+             ["generate", "{path}", "-o", "{out}"], "noise_model.type"),
         ],
         ids=["missing-eps", "K-not-integer", "csv-cell", "csv-int64-overflow",
-             "csv-header-only", "csv-not-utf8", "instance-p", "matrix-cell"],
+             "csv-header-only", "csv-not-utf8", "instance-p", "matrix-cell",
+             "seed-word", "seed-negative", "seed-float", "instance-n-negative",
+             "instance-S-negative", "noise-model-type-list"],
     )
     def test_exits_2_naming_the_file(self, tmp_path, name, text, argv, located):
         path = tmp_path / name
@@ -405,6 +457,28 @@ class TestMalformedInput:
         assert located in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_list_seed_still_accepted(self, tmp_path, capsys):
+        path = write(tmp_path, "s.json",
+                     {"K": 2, "T": [[0.9, 0.1], [0.2, 0.8]], "n": 10, "seed": [1, 2]})
+        argv = ["generate", path, "-o", str(tmp_path / "o.csv"), "--json", "--no-timestamp"]
+        assert main(argv) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["seed"] == [1, 2]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["generate", "s.json", "-o", "o.csv"],
+         ["estimate", "s.json", "--exact"],
+         ["check", "s.json", "--mode", "group"],
+         ["witness", "0.6", "0.1", "0.3"],
+         ["simulate-2nn", "p.json"]],
+        ids=["generate", "estimate", "check", "witness", "simulate-2nn"],
+    )
+    def test_negative_seed_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as e:
+            main([*argv, "--seed", "-1"])
+        assert e.value.code == EXIT_VALIDATION
+        assert "--seed: must be >= 0, got -1" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [["estimate", "s.json", "--exact", "--restarts", "0"],
@@ -416,3 +490,71 @@ class TestMalformedInput:
             main(argv)
         assert e.value.code == EXIT_VALIDATION
         assert "must be >= 1" in capsys.readouterr().err
+
+
+VALID_SCENARIOS = [
+    {"K": 2, "prior": [0.6, 0.4], "T": [[0.9, 0.1], [0.3, 0.7]],
+     "noise_model": {"type": "explicit"}, "seed": 1, "n": 20, "p": 3,
+     "features": {"d_star": 2, "cardinalities": 3, "min_kruskal": 2},
+     "groups": {"count": 1}},
+    {"K": 3, "noise_model": {"type": "instance", "eps": 0.2, "S": 4},
+     "seed": 2, "n": 20,
+     "features": {"d_star": 3, "cardinalities": [2, 3, 2]}, "groups": {"count": 2}},
+]
+
+
+@st.composite
+def mutated_scenario(draw):
+    """A valid scenario with one field (top-level or in a section) dropped
+    or replaced by a string, null, a list, a float or an int in [-3, 50]."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(VALID_SCENARIOS))))
+    paths = [(doc, k) for k in doc] + [
+        (doc[k], j) for k in doc if isinstance(doc[k], dict) for j in doc[k]
+    ]
+    owner, key = draw(st.sampled_from(paths))
+    value = st.one_of(
+        st.text(max_size=3),
+        st.none(),
+        st.lists(st.integers(-3, 50), max_size=3),
+        st.floats(-3, 50),
+        st.integers(-3, 50),
+    )
+    if draw(st.booleans()):
+        del owner[key]
+    else:
+        owner[key] = draw(value)
+    return doc
+
+
+def _instance(**fields):
+    doc = json.loads(json.dumps(VALID_SCENARIOS[1]))
+    for key, value in fields.items():
+        (doc["noise_model"] if key == "S" else doc)[key] = value
+    return doc
+
+
+class TestScenarioProperty:
+    @given(mutated_scenario())
+    @example(_instance(seed="x"))
+    @example(_instance(seed=1.5))
+    @example(_instance(n=-3))
+    @example(_instance(S=-2))
+    @settings(max_examples=40, deadline=None)
+    def test_every_command_exits_with_a_contract_code(self, doc):
+        runs = [["check", "{path}", "--mode", mode]
+                for mode in ("instance3", "kruskal", "group", "unknown-groups", "generic")]
+        runs += [["generate", "{path}", "-o", "{out}"],
+                 ["estimate", "{path}", "--exact", "--restarts", "1"]]
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            # a fit that stops short, or lands where uniqueness fails, says
+            # so by a warning; neither is an exit-code fault
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            warnings.filterwarnings("ignore", "recovered parameters violate")
+            path = Path(tmp) / "s.json"
+            path.write_text(json.dumps(doc))
+            for argv in runs:
+                argv = [a.format(path=path, out=Path(tmp) / "o.csv") for a in argv]
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = main(argv)
+                assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_CAPABILITY, EXIT_SEARCH), argv

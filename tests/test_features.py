@@ -11,31 +11,30 @@ from noise_id.errors import (
     ValidationError,
 )
 from noise_id.features import (
-    FeatureModel,
     empirical_three_view,
-    estimate_from_features,
     exact_three_view_joint,
     fit_three_view,
     gen_feature_model,
     group_meta_features,
     sample_with_features,
-    stack_observations,
 )
 from noise_id.identifiability import (
     IDENTIFIABLE,
     NOT_GUARANTEED,
+    ObservationModel,
     check_kruskal_sum,
     is_informative_feature,
 )
-from noise_id.matrices import ObsMatrix, Prior, TransitionMatrix, kruskal_rank
-from noise_id.consensus import err_metric
+from noise_id.matrices import ObsMatrix, Prior, Scenario, TransitionMatrix, kruskal_rank
+from noise_id.consensus import err_metric, estimate, exact_joint, fit
 from noise_id.noisegen import asymmetric_T
 
 
 class TestGenFeatureModel:
     def test_binary_contract(self):
         fm = gen_feature_model(2, 1, 2, min_kruskal=2, seed=0)
-        assert fm.d_star == 1 and fm.cardinalities == (2,)
+        assert isinstance(fm, ObservationModel)
+        assert fm.K == 2 and fm.p == 1 and fm.cardinalities == (2,)
         assert kruskal_rank(fm.models[0]) >= 2
 
     def test_all_informative(self):
@@ -58,12 +57,12 @@ class TestGenFeatureModel:
 
     def test_feature_model_dimension_check(self):
         with pytest.raises(DimensionError):
-            FeatureModel(K_hidden=3, models=(np.eye(2),))
+            ObservationModel((np.eye(2),), K=3)
 
 
 class TestSampleWithFeatures:
     def test_identity_features_reveal_hidden_state(self):
-        fm = FeatureModel(K_hidden=2, models=(np.eye(2), np.eye(2)))
+        fm = ObservationModel((np.eye(2), np.eye(2)), K=2)
         ds = sample_with_features(Prior([0.4, 0.6]), None, fm, n=300, seed=0)
         assert (ds.r == ds.y[:, None]).all()
         assert ds.noisy.shape == (300, 0)
@@ -99,20 +98,20 @@ class TestSampleWithFeatures:
             sample_with_features(Prior([1 / 3] * 3), None, fm, n=10, seed=0)
 
 
-class TestStackObservations:
+class TestFeatureStack:
     def test_full_rank_T_plus_three_features_identifiable(self):
         fm = gen_feature_model(3, 3, 4, min_kruskal=3, seed=2)
-        obs = stack_observations(asymmetric_T(3, 0.3), fm)
+        obs = ObservationModel((asymmetric_T(3, 0.3).as_obs(), *fm.models), fm.K)
         assert check_kruskal_sum(obs).verdict == IDENTIFIABLE
 
     def test_single_feature_not_guaranteed(self):
         fm = gen_feature_model(2, 1, 2, seed=0)
-        assert check_kruskal_sum(stack_observations(None, fm)).verdict == NOT_GUARANTEED
+        assert check_kruskal_sum(fm).verdict == NOT_GUARANTEED
 
     def test_ordering(self):
         fm = gen_feature_model(2, 2, 2, seed=0)
         T = asymmetric_T(2, 0.2)
-        obs = stack_observations(T, fm)
+        obs = ObservationModel((T.as_obs(), *fm.models), fm.K)
         assert obs.p == 3
         np.testing.assert_array_equal(obs.models[0].entries, T.entries)
 
@@ -128,7 +127,7 @@ class TestGroupMetaFeatures:
         a = ObsMatrix([[0.9, 0.1], [0.2, 0.8]])
         b = ObsMatrix([[0.7, 0.3], [0.4, 0.6]])
         c = ObsMatrix([[0.5, 0.5], [0.5, 0.5]])
-        fm = FeatureModel(K_hidden=2, models=(a, b, c))
+        fm = ObservationModel((a, b, c), K=2)
         m1, _ = group_meta_features(fm, ([0, 1], [2]))
         assert m1.kappa == 4
         for j in range(2):
@@ -202,6 +201,29 @@ class TestFitThreeView:
         assert result.restarts_used == 2
         assert len(result.per_restart_residuals) == 2
 
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_three_labels_match_the_tied_fit(self, K):
+        # three i.i.d. labels fitted as three distinct views recover the
+        # tied fit's answer, with both "feature" factors equal to T
+        rng = np.random.default_rng(K)
+        w = rng.dirichlet(np.full(K, 4.0))
+        T = 0.5 * np.eye(K) + 0.5 * rng.dirichlet(np.ones(K), size=K)
+        joint = exact_joint(Scenario(T=TransitionMatrix(T), prior=Prior(w)), 3)
+        general = fit_three_view(joint.values, K, restarts=1, seed=0)
+        tied = estimate(joint, restarts=1, seed=0)
+        assert general.converged and tied.converged
+        for got in (general.scenario.T.entries, *(m.entries for m in general.feature_models)):
+            np.testing.assert_allclose(got, tied.scenario.T.entries, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(
+            general.scenario.prior.weights, tied.scenario.prior.weights, rtol=0, atol=1e-9
+        )
+        np.testing.assert_allclose(tied.scenario.T.entries, T, rtol=0, atol=1e-9)
+
+    def test_tied_fit_has_no_feature_models(self):
+        s = Scenario(T=asymmetric_T(2, 0.2), prior=Prior([0.6, 0.4]))
+        result = fit(exact_joint(s, 3).values, 2, (2,), restarts=1)
+        assert result.converged and result.feature_models == ()
+
     def test_third_axis_must_be_K(self):
         with pytest.raises(ValidationError):
             fit_three_view(np.full((2, 2, 3), 1 / 12), K=2)
@@ -238,7 +260,7 @@ class TestFitThreeView:
         assert ok >= int(trials * 0.95)
 
 
-class TestEstimateFromFeatures:
+class TestFeatureRecovery:
     def _dataset(self, n, seed):
         fm = gen_feature_model(2, 2, [3, 3], min_kruskal=2, seed=11)
         T = asymmetric_T(2, 0.3)
@@ -267,7 +289,7 @@ class TestEstimateFromFeatures:
 
     def test_sampled_recovery(self):
         _, T, ds = self._dataset(300_000, 1)
-        result = estimate_from_features(ds, K=2, seed=0)
+        result = fit_three_view(empirical_three_view(ds), K=2, seed=0, n=ds.n)
         err = err_metric(
             result.scenario.T.entries, T.entries, permutation_invariant=True
         )
@@ -289,7 +311,7 @@ class TestEstimateFromFeatures:
         truth = np.linalg.norm(
             exact_three_view_joint(w, [*fm.models, T]) - empirical_three_view(ds)
         )
-        result = estimate_from_features(ds, 3, seed=0)
+        result = fit_three_view(empirical_three_view(ds), 3, seed=0, n=ds.n)
         assert result.converged
         assert result.residual <= truth
         assert result.restarts_used == restarts_used
@@ -299,5 +321,5 @@ class TestEstimateFromFeatures:
         ds = sample_with_features(
             Prior([0.5, 0.5]), asymmetric_T(2, 0.2), fm, n=100, seed=0
         )
-        with pytest.raises(ValidationError):
-            estimate_from_features(ds, K=2)
+        with pytest.raises(CapabilityError, match="two feature columns"):
+            empirical_three_view(ds)

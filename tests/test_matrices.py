@@ -186,6 +186,15 @@ class TestAlignment:
         with pytest.raises(CapabilityError):
             align_permutation(np.eye(11), np.eye(11))
 
+    def test_ties_go_to_the_first_permutation(self):
+        flat = np.full((3, 3), 1 / 3)
+        assert align_permutation(flat, flat)[0] == (0, 1, 2)
+        assert max_trace_permutation(flat)[0] == (0, 1, 2)
+        # equal rows 1 and 2 tie with their swap, which comes later
+        T = np.array([[0.8, 0.1, 0.1], [0.2, 0.4, 0.4], [0.2, 0.4, 0.4]])
+        assert align_permutation(T, T)[0] == (0, 1, 2)
+        assert max_trace_permutation(T)[0] == (0, 1, 2)
+
     def test_max_trace_prefers_diagonal(self):
         T = np.array([[0.1, 0.9], [0.8, 0.2]])
         perm, aligned = max_trace_permutation(T)

@@ -141,6 +141,9 @@ class TestInstanceNoise:
             instance_noise([[np.inf]], [1], 0.2, 2, seed=0)
         with pytest.raises(ValidationError):
             instance_noise([[1.0]], [3], 0.2, 2, seed=0)
+        # one class leaves nothing to flip to
+        with pytest.raises(ValidationError, match="K >= 2"):
+            instance_noise([[1.0]], [1], 0.2, 1, seed=0)
 
 
 class TestPartDependent:
