@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -63,9 +64,12 @@ def _floats(v):
 
 def _int_at_least(least):
     """A cast to an int >= least, for `_field` and for argparse (which
-    names it "int" when int() fails)."""
+    names it "int" when int() fails). A bool, or a float with a fractional
+    part, is refused rather than truncated."""
 
     def cast(v):
+        if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+            raise ValueError(f"must be an integer, got {v!r}")
         n = int(v)
         if n < least:
             raise argparse.ArgumentTypeError(f"must be >= {least}, got {n}")
@@ -75,8 +79,19 @@ def _int_at_least(least):
     return cast
 
 
-def _ints(v):
-    return v if isinstance(v, int) else [int(c) for c in v]
+def _cardinalities(d_star):
+    """A cast to a tuple of d_star ints >= 2: one int stands for every
+    feature, and a list gives one per feature."""
+    card = _int_at_least(2)
+
+    def cast(v):
+        if not isinstance(v, list):
+            return (card(v),) * d_star
+        if len(v) != d_star:
+            raise ValueError(f"need one entry per feature (d_star = {d_star}), got {len(v)}")
+        return tuple(map(card, v))
+
+    return cast
 
 
 def _seed(v):
@@ -95,9 +110,7 @@ class ScenarioFile:
         unknown = set(doc) - SCENARIO_FIELDS
         if unknown:
             raise ValidationError(f"{path}: unknown fields {sorted(unknown)}")
-        self.K = _field(path, doc, "K", int)
-        if self.K < 1:
-            raise ValidationError(f"{path}: field 'K' must be >= 1")
+        self.K = _field(path, doc, "K", _int_at_least(1))
         self.seed = _field(path, doc, "seed", _seed, None)
         self.n = _field(path, doc, "n", _int_at_least(0), 0) or None
         self.p = _field(path, doc, "p", _int_at_least(0), 0) or None
@@ -142,16 +155,21 @@ class ScenarioFile:
             extra = set(fs) - {"d_star", "cardinalities", "min_kruskal"}
             if extra:
                 raise ValidationError(f"{path}: unknown feature fields {sorted(extra)}")
-            self.d_star = _field(path, fs, "d_star", int, section="features")
+            self.d_star = _field(path, fs, "d_star", _int_at_least(0), section="features")
             self.cardinalities = _field(
-                path, fs, "cardinalities", _ints, 2, section="features"
+                path, fs, "cardinalities", _cardinalities(self.d_star),
+                (2,) * self.d_star, section="features",
             )
-            self.min_kruskal = _field(path, fs, "min_kruskal", int, 2, section="features")
+            self.min_kruskal = _field(
+                path, fs, "min_kruskal", _int_at_least(1), 2, section="features"
+            )
         self.groups = doc.get("groups")
         if self.groups is not None:
             if not isinstance(self.groups, dict):
                 raise ValidationError(f"{path}: groups must be a JSON object")
-            self.group_count = _field(path, self.groups, "count", int, section="groups")
+            self.group_count = _field(
+                path, self.groups, "count", _int_at_least(1), section="groups"
+            )
 
     def scenario(self) -> Scenario:
         if self.T is None:
@@ -249,10 +267,7 @@ def cmd_check(args) -> int:
     else:  # generic
         if sf.features is None:
             raise ValidationError("generic mode requires a 'features' section")
-        cards = sf.cardinalities
-        if isinstance(cards, int):
-            cards = [cards] * sf.d_star
-        report = identifiability.check_generic(sf.K, cards)
+        report = identifiability.check_generic(sf.K, sf.cardinalities)
     emit({"mode": mode, **report.to_dict()}, args)
     return EXIT_OK
 
@@ -271,7 +286,9 @@ def cmd_generate(args) -> int:
         rng = np.random.default_rng(seed)
         S = sf.S
         x = rng.standard_normal((n, S))
-        y0 = (rng.random(n)[:, None] > np.cumsum(sf.prior.weights)[None, :]).sum(1)
+        y0 = noisegen._sample_rows(
+            rng, sf.prior.weights[None, :], np.zeros(n, dtype=np.int64), 1
+        )[:, 0]
         noisy, pvec = noisegen.instance_noise(
             x, y0 + 1, sf.eps, sf.K, (seed, 1)
         )
@@ -476,7 +493,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone: point stdout at the null device so
+        # that the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INTERNAL
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION

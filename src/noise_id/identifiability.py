@@ -1,5 +1,12 @@
 """Identifiability conditions as boolean-with-evidence checks.
 
+Every check is Kruskal's condition, sum Kr(M_i) >= 2K + p - 1 over p
+conditionally independent views of K hidden states, written once in
+:func:`kruskal_condition`; the checks differ only in the views and the
+Kruskal ranks they pass to it (three labels, a label plus features,
+meta-features). Ranks come from :func:`matrices.kruskal_rank`, with the one
+tolerance ``matrices.RANK_TOL``.
+
 Each check returns an :class:`IdentifiabilityReport` whose verdict is
 ``identifiable`` exactly when ``lhs >= rhs``. All conditions here are
 sufficient only, so a failed check reads ``not_guaranteed`` rather than
@@ -15,13 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .matrices import (
-    DEFAULT_TOL,
-    ObsMatrix,
-    TransitionMatrix,
-    kruskal_rank,
-    numerical_rank,
-)
+from .matrices import ObsMatrix, TransitionMatrix, kruskal_rank, numerical_rank
 
 IDENTIFIABLE = "identifiable"
 NOT_GUARANTEED = "not_guaranteed"
@@ -91,15 +92,22 @@ def _report(name, lhs, rhs, kruskals, notes):
     return IdentifiabilityReport(name, int(lhs), int(rhs), tuple(kruskals), verdict, notes)
 
 
-def check_kruskal_sum(obs: ObservationModel, tol: float = DEFAULT_TOL) -> IdentifiabilityReport:
+def kruskal_condition(K: int, ranks) -> tuple[int, int]:
+    """Kruskal's condition over len(ranks) conditionally independent views of
+    K hidden states, with Kruskal ranks `ranks`: (sum of the ranks,
+    2K + p - 1). The views identify the model, up to a relabelling of the
+    hidden states, when the first reaches the second."""
+    return sum(ranks), 2 * K + len(ranks) - 1
+
+
+def check_kruskal_sum(obs: ObservationModel) -> IdentifiabilityReport:
     """Sum-of-Kruskal-ranks condition: sum Kr(M_i) >= 2K + p - 1.
 
     Sufficient for identifiability of the hidden-state model up to label
     permutation.
     """
-    kruskals = [kruskal_rank(m, tol) for m in obs.models]
-    lhs = sum(kruskals)
-    rhs = 2 * obs.K + obs.p - 1
+    kruskals = [kruskal_rank(m) for m in obs.models]
+    lhs, rhs = kruskal_condition(obs.K, kruskals)
     notes = (
         f"sum of Kruskal ranks {lhs} vs threshold 2K+p-1 = {rhs} "
         f"(K={obs.K}, p={obs.p}). Condition is sufficient, not necessary."
@@ -107,25 +115,19 @@ def check_kruskal_sum(obs: ObservationModel, tol: float = DEFAULT_TOL) -> Identi
     return _report("kruskal_sum", lhs, rhs, kruskals, notes)
 
 
-def is_informative_label(T: TransitionMatrix, tol: float = DEFAULT_TOL) -> bool:
+def is_informative_label(T: TransitionMatrix) -> bool:
     """A noisy label is informative iff its transition matrix has full rank."""
-    return numerical_rank(T, tol) == T.K
+    return numerical_rank(T) == T.K
 
 
-def check_instance_three_labels(
-    T: TransitionMatrix, tol: float = DEFAULT_TOL
-) -> IdentifiabilityReport:
+def check_instance_three_labels(T: TransitionMatrix) -> IdentifiabilityReport:
     """Three i.i.d. noisy labels drawn through T: M_1 = M_2 = M_3 = T.
 
     Identifiable iff T is full rank (then each Kruskal rank is K and
     3K >= 2K + 2). For this setting full rank is also necessary.
     """
-    K = T.K
-    if is_informative_label(T, tol):
-        kr = K
-    else:
-        kr = kruskal_rank(T, tol)
-    lhs, rhs = 3 * kr, 2 * K + 2
+    kr = kruskal_rank(T)
+    lhs, rhs = kruskal_condition(T.K, [kr] * 3)
     notes = (
         f"three i.i.d. labels share M_i = T; Kr(T) = {kr}, "
         f"sum 3*{kr} = {lhs} vs 2K+2 = {rhs}. "
@@ -134,13 +136,13 @@ def check_instance_three_labels(
     return _report("instance_three_labels", lhs, rhs, [kr, kr, kr], notes)
 
 
-def is_informative_feature(M: ObsMatrix, tol: float = DEFAULT_TOL) -> bool:
+def is_informative_feature(M: ObsMatrix) -> bool:
     """A feature is informative iff its observation matrix has Kruskal rank >= 2."""
-    return kruskal_rank(M, tol) >= 2
+    return kruskal_rank(M) >= 2
 
 
 def check_group_features(
-    T: TransitionMatrix, features: ObservationModel, tol: float = DEFAULT_TOL
+    T: TransitionMatrix, features: ObservationModel
 ) -> IdentifiabilityReport:
     """Single noisy label plus disentangled features for one group.
 
@@ -153,15 +155,13 @@ def check_group_features(
     """
     if T.K != features.K:
         raise DimensionError(f"T has K={T.K} but features have K={features.K}")
-    kruskals = [kruskal_rank(m, tol) for m in features.models]
+    kruskals = [kruskal_rank(m) for m in features.models]
     d_star = sum(1 for kr in kruskals if kr >= 2)
-    kr_T = kruskal_rank(T, tol)
-    t_info = is_informative_label(T, tol)
-    lhs = kr_T + 2 * d_star
-    rhs = 2 * T.K + d_star
+    kr_T = kruskal_rank(T)
+    lhs, rhs = kruskal_condition(T.K, [kr_T] + [2] * d_star)
     notes = (
         f"informative features d* = {d_star} (threshold d* >= K = {T.K}); "
-        f"Kr(T) = {kr_T}, T informative: {t_info}. Guaranteed bound "
+        f"Kr(T) = {kr_T}, T informative: {kr_T == T.K}. Guaranteed bound "
         f"Kr(T) + 2*d* = {lhs} vs 2K + d* = {rhs}. Features with Kruskal "
         f"rank above 2 are under-counted here; run the sum condition on the "
         f"full stack for the sharper test."
@@ -172,26 +172,28 @@ def check_group_features(
 def check_unknown_groups(num_groups: int, K: int, d_star: int) -> IdentifiabilityReport:
     """Hidden group membership: features observed over the product space G x Y.
 
-    Identifiable when d* >= 2|G|K - 1; the proof arithmetic only uses
-    Kr(T) >= 1 over the combined hidden space of size |G|K.
+    Kruskal's condition over |G|K hidden states, with Kr(T) >= 1 and each
+    of the d* features at Kruskal rank >= 2, solved for d*: every feature
+    adds 2 to the sum and 1 to the threshold, so the condition holds when
+    d* >= 2|G|K - 1, the gap it leaves with no features.
     """
     if num_groups < 1 or K < 2 or d_star < 0:
         raise ValidationError("need num_groups >= 1, K >= 2, d_star >= 0")
-    lhs = d_star
-    rhs = 2 * num_groups * K - 1
+    lhs, rhs = kruskal_condition(num_groups * K, [1])
+    gap = rhs - lhs
     notes = (
         f"combined hidden space size |G|K = {num_groups * K}; "
         f"Kr(T) + sum Kr(M_i) >= 1 + 2*d* >= 2|G|K + (d*+1) - 1 requires "
-        f"d* >= 2|G|K - 1 = {rhs}; got d* = {d_star}. Unlike the known-group "
+        f"d* >= 2|G|K - 1 = {gap}; got d* = {d_star}. Unlike the known-group "
         f"check, this arithmetic only assumes Kr(T) >= 1."
     )
-    return _report("unknown_groups", lhs, rhs, [], notes)
+    return _report("unknown_groups", d_star, gap, [], notes)
 
 
 def _best_split(K, cards):
-    """(min(K, tau1) + min(K, tau2) + K, group 1) for a split of the features
-    into two nonempty groups that maximizes the sum, tau being the product of
-    a group's cardinalities.
+    """Group 1 (feature indices) of a split of the features into two
+    nonempty groups that maximizes min(K, tau1) + min(K, tau2), tau being
+    the product of a group's cardinalities.
 
     A dynamic programme over the states (min(cap, tau1), min(cap, tau2)),
     cap = max(K, 2): each feature in turn joins one side, feature 0 joins
@@ -207,18 +209,18 @@ def _best_split(K, cards):
             nxt.setdefault((a, min(cap, b * c)), mask)
             nxt.setdefault((min(cap, a * c), b), mask | 1 << j)
         states = nxt
-    score, mask = max(
-        ((min(K, a) + min(K, b) + K, mask) for (a, b), mask in states.items() if b > 1),
+    _, mask = max(
+        ((min(K, a) + min(K, b), mask) for (a, b), mask in states.items() if b > 1),
         key=lambda sm: sm[0],
     )
-    return score, [i for i in range(len(cards)) if mask >> i & 1]
+    return [i for i in range(len(cards)) if mask >> i & 1]
 
 
 def check_generic(K: int, cardinalities) -> IdentifiabilityReport:
     """Generic identifiability via two meta-features plus the noisy label.
 
     Splits the features into two groups with multiplied outcome spaces
-    (tau* = prod kappa_i) and checks
+    (tau* = prod kappa_i) and checks Kruskal's condition on the ranks
     min(K, tau1) + min(K, tau2) + min(K, K) >= 2K + 2 for the best two-way
     split (found by `_best_split` in O(d* K^2)); also requires
     d* >= ceil(log2((K+2)/2)). The even split from the generic-identifiability
@@ -230,40 +232,31 @@ def check_generic(K: int, cardinalities) -> IdentifiabilityReport:
         raise ValidationError("every feature cardinality must be >= 2")
     d_star = len(cards)
     d_threshold = math.ceil(math.log2((K + 2) / 2))
-    name = "generic"
-
+    # three views: two meta-features and the noisy label
+    _, rhs = kruskal_condition(K, [K] * 3)
     if d_star == 0:
-        return _report(name, 0, 2 * K + 2, [], "no features available")
+        return _report("generic", 0, rhs, [], "no features available")
+    if d_star == 1 and K > 2:
+        return _report("generic", 0, rhs, [], (
+            f"fewer than 2 features with K = {K} > 2: cannot form the "
+            f"two meta-features required by the three-observation condition"))
     if d_star == 1:
-        # Cannot form two feature meta-groups; with K = 2 the stated
-        # threshold d* >= 1 still applies, filling the second slot with the
-        # noisy label itself. Reported with a caveat since the label is then
-        # used twice.
-        lhs = min(K, cards[0]) + min(K, K) + min(K, K)
-        rhs = 2 * K + 2
-        if K > 2:
-            return _report(
-                name,
-                0,
-                rhs,
-                [],
-                f"fewer than 2 features with K = {K} > 2: cannot form the "
-                f"two meta-features required by the three-observation condition",
-            )
+        # Cannot form two feature meta-groups; with K <= 2 the threshold
+        # d* >= 1 still holds, filling the second slot with the noisy label
+        # itself. Reported with a caveat since the label is then used twice.
+        lhs, _ = kruskal_condition(K, [min(K, cards[0]), K, K])
         notes = (
             f"single feature: slots (M_1, T, T) give "
             f"min(K,{cards[0]}) + 2*min(K,K) = {lhs} vs {rhs}; "
             f"d* = 1 >= ceil(log2((K+2)/2)) = {d_threshold}. Caveat: the noisy "
             f"label fills both remaining slots."
         )
-        if d_star < d_threshold:
-            lhs = 0
-        return _report(name, lhs, rhs, [], notes)
+        return _report("generic", lhs, rhs, [], notes)
 
-    score, g1 = _best_split(K, cards)
+    g1 = _best_split(K, cards)
     tau1 = math.prod(cards[i] for i in g1)
     tau2 = math.prod(cards[i] for i in range(d_star) if i not in g1)
-    rhs = 2 * K + 2
+    score, _ = kruskal_condition(K, [min(K, tau1), min(K, tau2), K])
     lhs = score if d_star >= d_threshold else 0
     notes = (
         f"best split: group 1 = features {g1} (tau* = {tau1}), group 2 has "
@@ -273,4 +266,4 @@ def check_generic(K: int, cardinalities) -> IdentifiabilityReport:
     )
     if d_star < d_threshold:
         notes += " Feature-count threshold failed, so the verdict is not_guaranteed."
-    return _report(name, lhs, rhs, [], notes)
+    return _report("generic", lhs, rhs, [], notes)

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import CapabilityError, DimensionError, ValidationError
 
 ROW_SUM_TOL = 1e-9
-DEFAULT_TOL = 1e-8
+RANK_TOL = 1e-8
 MAX_KRUSKAL_ROWS = 12
 MAX_ALIGN_K = 10
 
@@ -133,47 +133,46 @@ class Scenario:
         return self.T.K
 
 
-def _subset_independent(rows: np.ndarray, tol: float) -> bool:
-    """Linear independence via the scale-free singular-value ratio test."""
+def _independent(rows: np.ndarray) -> bool:
+    """Linear independence: the smallest singular value of the rows exceeds
+    RANK_TOL times the largest."""
     if rows.shape[0] > rows.shape[1]:
         return False
     s = np.linalg.svd(rows, compute_uv=False)
-    return s[0] > 0 and s[-1] > tol * s[0]
+    return s[0] > 0 and s[-1] > RANK_TOL * s[0]
 
 
-def kruskal_rank(M, tol: float = DEFAULT_TOL) -> int:
+def kruskal_rank(M) -> int:
     """Largest I such that every set of I rows of M is linearly independent.
 
-    0 if any row is numerically zero. Enumerates subsets from size 1 upward
-    and stops at the first dependent one; practical for up to
-    ``MAX_KRUSKAL_ROWS`` rows.
+    0 if any row is numerically zero. One SVD settles a matrix whose rows
+    are all independent, at any size: by Cauchy interlacing no subset of
+    them has a smaller singular-value ratio. Otherwise subsets are
+    enumerated from size 1 upward to the first dependent one, which is
+    practical for up to ``MAX_KRUSKAL_ROWS`` rows.
     """
-    if tol <= 0:
-        raise ValidationError("tol must be > 0")
     a = _as_array(M)
     n = a.shape[0]
+    if n == 0 or _independent(a):
+        return n
     if n > MAX_KRUSKAL_ROWS:
         raise CapabilityError(
             f"kruskal_rank supports at most {MAX_KRUSKAL_ROWS} rows, got {n}"
         )
-    kr = 0
-    for size in range(1, n + 1):
+    for size in range(1, n):
         for idx in itertools.combinations(range(n), size):
-            if not _subset_independent(a[list(idx)], tol):
-                return kr
-        kr = size
-    return kr
+            if not _independent(a[list(idx)]):
+                return size - 1
+    return n - 1
 
 
-def numerical_rank(M, tol: float = DEFAULT_TOL) -> int:
-    """Count of singular values above tol times the largest one."""
-    if tol <= 0:
-        raise ValidationError("tol must be > 0")
+def numerical_rank(M) -> int:
+    """Count of singular values above RANK_TOL times the largest one."""
     a = _as_array(M)
     s = np.linalg.svd(a, compute_uv=False)
     if s.size == 0 or s[0] == 0:
         return 0
-    return int((s > tol * s[0]).sum())
+    return int((s > RANK_TOL * s[0]).sum())
 
 
 def frobenius_distance(A, B) -> float:

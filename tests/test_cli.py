@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -16,9 +17,12 @@ from hypothesis import example, given, settings, strategies as st
 import noise_id
 from noise_id.cli import (
     EXIT_CAPABILITY,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_SEARCH,
     EXIT_VALIDATION,
+    _int_at_least,
+    load_scenario,
     main,
 )
 from noise_id.errors import ConvergenceWarning
@@ -420,11 +424,44 @@ class TestMalformedInput:
             ("type_list.json",
              '{"K": 2, "noise_model": {"type": []}, "n": 10}',
              ["generate", "{path}", "-o", "{out}"], "noise_model.type"),
+            ("k_float.json",
+             '{"K": 2.7, "T": [[0.9, 0.1], [0.3, 0.7]], "n": 10.9, "p": 3.5}',
+             ["generate", "{path}", "-o", "{out}"], "'K': must be an integer, got 2.7"),
+            ("n_float.json",
+             '{"K": 2, "T": [[0.9, 0.1], [0.3, 0.7]], "n": 10.9}',
+             ["generate", "{path}", "-o", "{out}"], "'n': must be an integer, got 10.9"),
+            ("p_float.json",
+             '{"K": 2, "T": [[0.9, 0.1], [0.3, 0.7]], "n": 10, "p": 3.5}',
+             ["generate", "{path}", "-o", "{out}"], "'p': must be an integer, got 3.5"),
+            ("k_bool.json",
+             '{"K": true, "T": [[0.9, 0.1], [0.3, 0.7]], "n": 10}',
+             ["generate", "{path}", "-o", "{out}"], "'K': must be an integer, got True"),
+            ("d_star.json",
+             '{"K": 3, "features": {"d_star": -2, "cardinalities": 2}}',
+             ["check", "{path}", "--mode", "generic"], "'features.d_star': must be >= 0"),
+            ("count.json",
+             '{"K": 3, "features": {"d_star": 2}, "groups": {"count": 1.9}}',
+             ["check", "{path}", "--mode", "unknown-groups"], "'groups.count': must be an"),
+            ("min_kr.json",
+             '{"K": 2, "T": [[0.9, 0.1], [0.3, 0.7]], "features": {"d_star": 2, "min_kruskal": -1}}',
+             ["check", "{path}", "--mode", "group"], "'features.min_kruskal': must be >= 1"),
+            ("cards_generic.json",
+             '{"K": 3, "features": {"d_star": 5, "cardinalities": [2, 2]}}',
+             ["check", "{path}", "--mode", "generic"], "'features.cardinalities'"),
+            ("cards_group.json",
+             '{"K": 2, "T": [[0.9, 0.1], [0.3, 0.7]], "features": {"d_star": 5, "cardinalities": [2, 2]}}',
+             ["check", "{path}", "--mode", "group"], "'features.cardinalities'"),
+            ("cards_one.json",
+             '{"K": 3, "features": {"d_star": 2, "cardinalities": [2, 1]}}',
+             ["check", "{path}", "--mode", "generic"], "'features.cardinalities': must be >= 2"),
         ],
         ids=["missing-eps", "K-not-integer", "csv-cell", "csv-int64-overflow",
              "csv-header-only", "csv-not-utf8", "instance-p", "matrix-cell",
              "seed-word", "seed-negative", "seed-float", "instance-n-negative",
-             "instance-S-negative", "noise-model-type-list"],
+             "instance-S-negative", "noise-model-type-list", "K-n-p-float",
+             "n-float", "p-float", "K-bool", "d-star-negative", "group-count-float",
+             "min-kruskal-negative", "cardinalities-count-generic",
+             "cardinalities-count-group", "cardinality-below-2"],
     )
     def test_exits_2_naming_the_file(self, tmp_path, name, text, argv, located):
         path = tmp_path / name
@@ -457,6 +494,19 @@ class TestMalformedInput:
         assert located in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_closed_stdout_exits_1_without_traceback(self, tmp_path):
+        path = write(tmp_path, "s.json", {"K": 2, "T": [[0.9, 0.1], [0.3, 0.7]]})
+        env = dict(os.environ, PYTHONPATH=str(Path(noise_id.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "noise_id.cli", "check", path, "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == EXIT_INTERNAL
+        assert err == ""
+
     def test_list_seed_still_accepted(self, tmp_path, capsys):
         path = write(tmp_path, "s.json",
                      {"K": 2, "T": [[0.9, 0.1], [0.2, 0.8]], "n": 10, "seed": [1, 2]})
@@ -478,6 +528,19 @@ class TestMalformedInput:
             main([*argv, "--seed", "-1"])
         assert e.value.code == EXIT_VALIDATION
         assert "--seed: must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_integer_cast(self):
+        cast = _int_at_least(1)
+        assert [cast(v) for v in ("7", 7, 7.0)] == [7, 7, 7]
+        for bad in (True, 2.5, "2.5", 0):
+            with pytest.raises((ValueError, argparse.ArgumentTypeError)):
+                cast(bad)
+
+    def test_one_cardinality_stands_for_every_feature(self, tmp_path):
+        doc = {"K": 3, "features": {"d_star": 3, "cardinalities": 4}}
+        assert load_scenario(write(tmp_path, "s.json", doc)).cardinalities == (4, 4, 4)
+        doc["features"] = {"d_star": 2}
+        assert load_scenario(write(tmp_path, "s.json", doc)).cardinalities == (2, 2)
 
     @pytest.mark.parametrize(
         "argv",

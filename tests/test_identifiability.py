@@ -91,15 +91,18 @@ class TestInstanceThreeLabels:
         assert (r.lhs, r.rhs, r.verdict) == (15, 12, IDENTIFIABLE)
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_consistent_with_kruskal_sum_on_triple_stack(self, seed):
+    @pytest.mark.parametrize("deficient", [False, True])
+    def test_consistent_with_kruskal_sum_on_triple_stack(self, seed, deficient):
         rng = np.random.default_rng(seed)
         K = int(rng.integers(2, 5))
-        T = random_full_rank_T(rng, K)
-        a = check_instance_three_labels(T).verdict
-        b = check_kruskal_sum(
-            ObservationModel((T.entries,) * 3, K)
-        ).verdict
-        assert a == b == IDENTIFIABLE
+        T = random_full_rank_T(rng, K).entries.copy()
+        if deficient:
+            # the last row repeats row 0, or mixes rows 0 and 1 (K >= 3)
+            T[-1] = T[0] if seed < 5 or K == 2 else (T[0] + T[1]) / 2
+        a = check_instance_three_labels(TransitionMatrix(T))
+        b = check_kruskal_sum(ObservationModel((T,) * 3, K))
+        assert (a.lhs, a.rhs, a.verdict) == (b.lhs, b.rhs, b.verdict)
+        assert a.verdict == (NOT_GUARANTEED if deficient else IDENTIFIABLE)
 
     def test_monotone_in_observations(self):
         # adding an observed variable never flips identifiable -> not_guaranteed

@@ -81,12 +81,45 @@ class TestKruskalRank:
         assert kruskal_rank(M) == brute_force_kruskal(M)
 
     def test_row_cap(self):
+        # the cap bounds the subset enumeration, which only a matrix with
+        # dependent rows needs
+        M = np.eye(13)
+        M[-1] = M[0]
         with pytest.raises(CapabilityError):
-            kruskal_rank(np.eye(13))
+            kruskal_rank(M)
 
-    def test_tol_must_be_positive(self):
-        with pytest.raises(ValidationError):
-            kruskal_rank(np.eye(2), tol=0.0)
+    @pytest.mark.parametrize("K", [10, 12, 13, 40])
+    def test_full_rank_takes_all_rows(self, K):
+        # a strictly diagonally dominant T: every subset of rows is independent
+        M = np.eye(K) + random_row_stochastic(np.random.default_rng(K), K, K) / 2
+        assert kruskal_rank(M) == K
+
+    @given(
+        st.integers(1, 6),
+        st.sampled_from(["full", "repeated-row", "proportional-row", "column-pair"]),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_brute_force_on_square_matrices(self, n, kind, data):
+        # small integer entries keep every independent subset's singular-value
+        # ratio far above the tolerance, so the float and rational answers agree
+        M = np.array(
+            data.draw(st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n),
+                               min_size=n, max_size=n)),
+            dtype=float,
+        )
+        if kind == "full":
+            M += 3 * n * np.eye(n)  # strictly diagonally dominant
+        elif n > 1:
+            i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                      unique=True))
+            if kind == "repeated-row":
+                M[j] = M[i]
+            elif kind == "proportional-row":
+                M[j] = 2 * M[i]
+            else:
+                M[:, j] = M[:, i]
+        assert kruskal_rank(M) == brute_force_kruskal(M)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
