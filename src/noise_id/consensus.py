@@ -39,8 +39,6 @@ from .identifiability import is_informative_label
 SYMMETRY_TOL = 1e-6
 MAX_JOINT_CELLS = 1024
 WITNESS_MIN_DISTANCE = 0.01
-WITNESS_STATS_TOL = 1e-8
-WITNESS_GRID = 389
 
 
 @dataclass(frozen=True)
@@ -171,11 +169,14 @@ class EstimateResult:
 
     scenario: Scenario
     residual: float
-    restarts_used: int
     converged: bool
     permutation: tuple
     per_restart_residuals: list
     feature_models: tuple = ()
+
+    @property
+    def restarts_used(self) -> int:
+        return len(self.per_restart_residuals)
 
 
 def fit(target, K, dims, restarts=20, seed=0, n=math.inf) -> EstimateResult:
@@ -199,7 +200,6 @@ def fit(target, K, dims, restarts=20, seed=0, n=math.inf) -> EstimateResult:
     return EstimateResult(
         scenario=Scenario(T=TransitionMatrix(T_aligned), prior=Prior(w[idx] / w[idx].sum())),
         residual=math.sqrt(f),
-        restarts_used=len(per_restart),
         converged=converged,
         permutation=perm,
         per_restart_residuals=per_restart,
@@ -253,68 +253,58 @@ class Witness:
     distance: float
 
 
-def witness_p2(
-    gamma: float,
-    e_plus: float,
-    e_minus: float,
-    seed=0,
-) -> Witness:
-    """Find distinct binary parameters with identical two-label statistics.
+def witness_p2(gamma: float, e_plus: float, e_minus: float) -> Witness:
+    """Distinct binary parameters with identical two-label statistics, in
+    closed form.
 
-    The negative consensus is linearly dependent on the other two statistics
-    (neg = 1 - 2*posterior + pos), so for each candidate prior gamma' the
-    remaining two equations reduce to a quadratic in e_minus', solved in
-    closed form. Candidate priors come from a seeded jittered grid over
-    (0.02, 0.98) with WITNESS_GRID points. Witnesses must be informative
-    (e_plus' + e_minus' < 1), at max-abs distance >= WITNESS_MIN_DISTANCE
-    from the input, and match the statistics to WITNESS_STATS_TOL.
+    The statistics are the mean p1 and second moment p2 of the two-point law
+    with atom 1 - e_plus at weight gamma and atom e_minus at weight
+    1 - gamma (the negative consensus is 1 - 2*p1 + p2). With
+    s2 = p2 - p1^2 > 0, every prior gamma' in
+    [s2 / ((1 - p1)^2 + s2), p1^2 / (p1^2 + s2)] matches them exactly with
+
+        e_plus'  = 1 - p1 - sqrt(s2 * (1 - gamma') / gamma'),
+        e_minus' = p1 - sqrt(s2 * gamma' / (1 - gamma')),
+
+    an informative label (e_plus' + e_minus' < 1). At the two ends of the
+    interval e_plus' = 0 and e_minus' = 0. The witness is the end farther
+    from the input in max-abs distance, if it is informative by a 1e-9
+    margin and at least WITNESS_MIN_DISTANCE away. Otherwise, and when s2
+    is 0 to within its rounding (an uninformative label or a degenerate
+    prior), it raises SearchExhaustedError.
     """
     stats = binary_stats(gamma, e_plus, e_minus)
-    p1, p2 = stats.posterior, stats.pos_consensus
-    rng = np.random.default_rng(seed)
-    base = np.linspace(0.02, 0.98, WITNESS_GRID)
-    jitter = rng.uniform(-0.5, 0.5, WITNESS_GRID) * (0.96 / WITNESS_GRID)
-    gammas = np.clip(base + jitter, 0.02, 0.98)
-    best = None
-    for g in gammas:
-        c = 1.0 - g
-        # (c^2/g + c) b^2 - (2 p1 c / g) b + p1^2/g - p2 = 0, b = e_minus'
-        qa = c * c / g + c
-        qb = -2.0 * p1 * c / g
-        qc = p1 * p1 / g - p2
-        disc = qb * qb - 4 * qa * qc
-        if disc < 0 or qa == 0:
-            continue
-        for b in ((-qb + math.sqrt(disc)) / (2 * qa), (-qb - math.sqrt(disc)) / (2 * qa)):
-            if not 0.0 <= b <= 1.0:
-                continue
-            a = (p1 - c * b) / g
-            if not 0.0 <= a <= 1.0:
-                continue
-            ep, em = 1.0 - a, b
-            # informative-label constraint with a margin against roundoff
-            # witnesses hugging the e+ + e- = 1 boundary
-            if ep + em >= 1.0 - 1e-9:
-                continue
-            dist = max(abs(g - gamma), abs(ep - e_plus), abs(em - e_minus))
-            if dist < WITNESS_MIN_DISTANCE:
-                continue
-            cand = binary_stats(g, ep, em)
-            res = max(
-                abs(x - y) for x, y in zip(cand.as_tuple(), stats.as_tuple())
-            )
-            if res > WITNESS_STATS_TOL:
-                continue
-            if best is None or res < best.residual:
-                best = Witness(float(g), float(ep), float(em), float(res), float(dist))
-        if best is not None and best.residual == 0.0:
-            break
-    if best is None:
+    p1 = stats.posterior
+    s2 = stats.pos_consensus - p1 * p1
+    # p2 - p1^2 rounds a zero variance to at most 1.5 eps in magnitude
+    if s2 <= 4 * np.finfo(float).eps:
         raise SearchExhaustedError(
-            "no alternative parameters match the consensus statistics; the "
-            "statistics pin the parameters (expected near degenerate corners)"
+            f"the two-label statistics have zero variance (sigma^2 = {s2:.3g}): "
+            "the label is uninformative or the prior degenerate, so no "
+            "informative parameters with another prior match them"
         )
-    return best
+    # the curve at its two ends, where e_plus' = 0 and where e_minus' = 0;
+    # the max() clips the rounding of the other rate
+    ends = (
+        (s2 / ((1 - p1) ** 2 + s2), 0.0, max(p1 - s2 / (1 - p1), 0.0)),
+        (p1 * p1 / (p1 * p1 + s2), max(1 - p1 - s2 / p1, 0.0), 0.0),
+    )
+
+    def distance(params):
+        return max(abs(a - b) for a, b in zip(params, (gamma, e_plus, e_minus)))
+
+    g, ep, em = max(ends, key=distance)
+    dist = distance((g, ep, em))
+    if ep + em >= 1.0 - 1e-9 or dist < WITNESS_MIN_DISTANCE:
+        raise SearchExhaustedError(
+            "the statistics pin the parameters: the matching parameters farthest "
+            f"from the input lie within WITNESS_MIN_DISTANCE = {WITNESS_MIN_DISTANCE} "
+            "of it or are not informative (e_plus' + e_minus' >= 1 - 1e-9)"
+        )
+    residual = max(
+        abs(x - y) for x, y in zip(binary_stats(g, ep, em).as_tuple(), stats.as_tuple())
+    )
+    return Witness(g, ep, em, residual, dist)
 
 
 def mpe_forward(pi_tilde_minus: float, pi_tilde_plus: float) -> tuple[float, float]:

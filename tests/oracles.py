@@ -5,7 +5,8 @@ arithmetic for rank decisions, direct elementwise sums for norms, plain
 Monte Carlo for distribution summaries, scalar loops for the solver's
 residual and Jacobian, outer products for the latent-class tensor, loops
 over every axis order or feature split where the library uses polynomial
-shortcuts, and the csv module, one row at a time, for dataset files.
+shortcuts, the csv module, one row at a time, for dataset files, and a
+grid search for the two-label witness that the library gives in closed form.
 """
 
 import csv
@@ -116,6 +117,61 @@ def brute_force_generic_split(K, cards):
         for r in range(1, d // 2 + 1)
         for g1 in itertools.combinations(range(d), r)
     )
+
+
+def _binary_stats(gamma, e_plus, e_minus):
+    return (
+        gamma * (1 - e_plus) + (1 - gamma) * e_minus,
+        gamma * (1 - e_plus) ** 2 + (1 - gamma) * e_minus**2,
+        gamma * e_plus**2 + (1 - gamma) * (1 - e_minus) ** 2,
+    )
+
+
+def grid_witness(gamma, e_plus, e_minus, seed=0):
+    """The two-label witness by search: for each prior g' of a seeded
+    jittered 389-point grid over (0.02, 0.98), solve the quadratic in
+    e_minus' that matches the posterior and the positive consensus, and keep
+    the informative candidate at max-abs distance >= 0.01 from the input
+    that matches all three statistics to 1e-8 with the smallest residual.
+    Returns (g', e_plus', e_minus', residual, distance), or None when no
+    candidate qualifies."""
+    grid = 389
+    stats = _binary_stats(gamma, e_plus, e_minus)
+    p1, p2 = stats[0], stats[1]
+    rng = np.random.default_rng(seed)
+    base = np.linspace(0.02, 0.98, grid)
+    jitter = rng.uniform(-0.5, 0.5, grid) * (0.96 / grid)
+    gammas = np.clip(base + jitter, 0.02, 0.98)
+    best = None
+    for g in gammas:
+        c = 1.0 - g
+        # (c^2/g + c) b^2 - (2 p1 c / g) b + p1^2/g - p2 = 0, b = e_minus'
+        qa = c * c / g + c
+        qb = -2.0 * p1 * c / g
+        qc = p1 * p1 / g - p2
+        disc = qb * qb - 4 * qa * qc
+        if disc < 0 or qa == 0:
+            continue
+        for b in ((-qb + math.sqrt(disc)) / (2 * qa), (-qb - math.sqrt(disc)) / (2 * qa)):
+            if not 0.0 <= b <= 1.0:
+                continue
+            a = (p1 - c * b) / g
+            if not 0.0 <= a <= 1.0:
+                continue
+            ep, em = 1.0 - a, b
+            if ep + em >= 1.0 - 1e-9:
+                continue
+            dist = max(abs(g - gamma), abs(ep - e_plus), abs(em - e_minus))
+            if dist < 0.01:
+                continue
+            res = max(abs(x - y) for x, y in zip(_binary_stats(g, ep, em), stats))
+            if res > 1e-8:
+                continue
+            if best is None or res < best[3]:
+                best = (float(g), float(ep), float(em), float(res), float(dist))
+        if best is not None and best[3] == 0.0:
+            break
+    return best
 
 
 # Scalar-loop residual and Jacobian of the tied and general latent-class

@@ -109,7 +109,7 @@ def test_criterion_04_counterexample_and_witness():
     pair_ok = max(
         abs(x - y) for x, y in zip(a.as_tuple(), b.as_tuple())
     ) < 1e-3
-    w = witness_p2(0.7, 0.2, 0.2, seed=0)
+    w = witness_p2(0.7, 0.2, 0.2)
     wit_ok = w.residual <= 1e-8 and w.distance >= 0.01
     report(
         4,
@@ -275,6 +275,6 @@ def test_criterion_12_determinism(tmp_path):
         )
     ok &= runs[0] == runs[1]
 
-    wit = [witness_p2(0.7, 0.2, 0.2, seed=12) for _ in range(2)]
+    wit = [witness_p2(0.7, 0.2, 0.2) for _ in range(2)]
     ok &= wit[0] == wit[1]
     report(12, "generate byte-identical; estimate and witness bitwise stable", ok)

@@ -310,17 +310,36 @@ class TestWitness:
             ["witness", "0.7", "0.2", "0.2", "--json", "--no-timestamp"]
         ) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
-        assert doc["statistic_residual"] <= 1e-8
+        assert doc["statistic_residual"] <= 1e-12
         assert doc["parameter_distance"] >= 0.01
 
-    def test_clean_corner_exit_4(self, capsys):
-        assert main(["witness", "1", "0", "0"]) == EXIT_SEARCH
+    @pytest.mark.parametrize(
+        "params",
+        [("0.5", "0.5", "0.5"), ("0", "0.2", "0.3"), ("1", "0", "0"), ("0.5", "0", "0")],
+        ids=["uninformative", "gamma-0", "clean-corner", "clean-labels"],
+    )
+    def test_no_witness_exit_4(self, params, capsys):
+        assert main(["witness", *params]) == EXIT_SEARCH
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_deterministic(self, capsys):
-        main(["witness", "0.7", "0.2", "0.2", "--no-timestamp", "--seed", "3"])
+        main(["witness", "0.7", "0.2", "0.2", "--no-timestamp"])
         first = capsys.readouterr().out
-        main(["witness", "0.7", "0.2", "0.2", "--no-timestamp", "--seed", "3"])
+        main(["witness", "0.7", "0.2", "0.2", "--no-timestamp"])
         assert capsys.readouterr().out == first
+
+    @given(st.lists(st.floats(-0.1, 1.1), min_size=3, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_any_input_exits_with_a_contract_code(self, params):
+        # argparse reads "-5e-08" as an option and exits 2 by SystemExit
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(["witness", *map(repr, params)])
+            except SystemExit as e:
+                code = e.code
+        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_SEARCH)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestSimulate2nn:
@@ -519,15 +538,25 @@ class TestMalformedInput:
         [["generate", "s.json", "-o", "o.csv"],
          ["estimate", "s.json", "--exact"],
          ["check", "s.json", "--mode", "group"],
-         ["witness", "0.6", "0.1", "0.3"],
          ["simulate-2nn", "p.json"]],
-        ids=["generate", "estimate", "check", "witness", "simulate-2nn"],
+        ids=["generate", "estimate", "check", "simulate-2nn"],
     )
     def test_negative_seed_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as e:
             main([*argv, "--seed", "-1"])
         assert e.value.code == EXIT_VALIDATION
         assert "--seed: must be >= 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [["witness", "0.7", "0.2", "0.2"], ["bound", "a.json", "b.json", "c.json"]],
+        ids=["witness", "bound"],
+    )
+    @pytest.mark.parametrize("flag", [["--seed", "1"], ["--strict"]])
+    def test_commands_that_draw_nothing_take_no_seed(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as e:
+            main([*argv, *flag])
+        assert e.value.code == EXIT_VALIDATION
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
     def test_integer_cast(self):
         cast = _int_at_least(1)
@@ -560,21 +589,44 @@ VALID_SCENARIOS = [
      "noise_model": {"type": "explicit"}, "seed": 1, "n": 20, "p": 3,
      "features": {"d_star": 2, "cardinalities": 3, "min_kruskal": 2},
      "groups": {"count": 1}},
-    {"K": 3, "noise_model": {"type": "instance", "eps": 0.2, "S": 4},
+    {"K": 3, "prior": [0.2, 0.3, 0.5], "noise_model": {"type": "instance", "eps": 0.2, "S": 4},
      "seed": 2, "n": 20,
      "features": {"d_star": 3, "cardinalities": [2, 3, 2]}, "groups": {"count": 2}},
 ]
 
 
+def _numeric_list(v):
+    return isinstance(v, list) and len(v) > 0 and all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in v
+    )
+
+
+def _break_row(draw, row):
+    """row with one fault: an entry more or less, a negative entry, or an
+    entry moved so that the row no longer sums to 1. The last two break a
+    row whatever K is, so they come back flagged."""
+    row = list(row)
+    i = draw(st.integers(0, len(row) - 1))
+    fault = draw(st.sampled_from(["longer", "shorter", "negative", "sum"]))
+    if fault == "longer":
+        row.insert(i, draw(st.floats(0, 1)))
+    elif fault == "shorter":
+        del row[i]
+    elif fault == "negative":
+        row[i] = draw(st.floats(-1, -1e-3))
+    else:
+        row[i] += draw(st.sampled_from([-1, 1])) * draw(st.floats(1e-3, 0.5))
+    return row, fault in ("negative", "sum")
+
+
 @st.composite
 def mutated_scenario(draw):
-    """A valid scenario with one field (top-level or in a section) dropped
-    or replaced by a string, null, a list, a float or an int in [-3, 50]."""
+    """A valid scenario with one to three faults, and whether it still holds
+    a row broken whatever K is. Each fault drops a field (top-level or in a
+    section), replaces it by a string, null, a list, a float or an int in
+    [-3, 50], or breaks the prior or one row of T that no fault has touched
+    yet (see `_break_row`)."""
     doc = json.loads(json.dumps(draw(st.sampled_from(VALID_SCENARIOS))))
-    paths = [(doc, k) for k in doc] + [
-        (doc[k], j) for k in doc if isinstance(doc[k], dict) for j in doc[k]
-    ]
-    owner, key = draw(st.sampled_from(paths))
     value = st.one_of(
         st.text(max_size=3),
         st.none(),
@@ -582,18 +634,37 @@ def mutated_scenario(draw):
         st.floats(-3, 50),
         st.integers(-3, 50),
     )
-    if draw(st.booleans()):
-        del owner[key]
-    else:
-        owner[key] = draw(value)
-    return doc
+    touched, broken = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        T = doc["T"] if isinstance(doc.get("T"), list) else []
+        rows = [(T, i) for i in range(len(T))] + [(doc, "prior")] * ("prior" in doc)
+        rows = [(owner, key) for owner, key in rows if _numeric_list(owner[key])
+                and all(owner[key] is not r for r in touched)]
+        paths = [(doc, k) for k in doc] + [
+            (doc[k], j) for k in doc if isinstance(doc[k], dict) for j in doc[k]
+        ]
+        if rows and draw(st.booleans()):
+            owner, key = draw(st.sampled_from(rows))
+            owner[key], breaks = _break_row(draw, owner[key])
+            touched.append(owner[key])
+            if breaks:
+                broken.append(owner[key])
+        elif paths:
+            owner, key = draw(st.sampled_from(paths))
+            if draw(st.booleans()):
+                del owner[key]
+            else:
+                owner[key] = draw(value)
+    T = doc.get("T")
+    held = [doc.get("prior"), *(T if isinstance(T, list) else [])]
+    return doc, any(row is b for row in held for b in broken)
 
 
 def _instance(**fields):
     doc = json.loads(json.dumps(VALID_SCENARIOS[1]))
     for key, value in fields.items():
         (doc["noise_model"] if key == "S" else doc)[key] = value
-    return doc
+    return doc, False
 
 
 class TestScenarioProperty:
@@ -603,7 +674,10 @@ class TestScenarioProperty:
     @example(_instance(n=-3))
     @example(_instance(S=-2))
     @settings(max_examples=40, deadline=None)
-    def test_every_command_exits_with_a_contract_code(self, doc):
+    def test_every_command_exits_with_a_contract_code(self, case):
+        # every command reads the whole scenario, so a broken row is refused
+        # whatever the command
+        doc, broken = case
         runs = [["check", "{path}", "--mode", mode]
                 for mode in ("instance3", "kruskal", "group", "unknown-groups", "generic")]
         runs += [["generate", "{path}", "-o", "{out}"],
@@ -621,3 +695,4 @@ class TestScenarioProperty:
                         contextlib.redirect_stderr(io.StringIO()):
                     code = main(argv)
                 assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_CAPABILITY, EXIT_SEARCH), argv
+                assert code == EXIT_VALIDATION or not broken, argv

@@ -7,6 +7,7 @@ import pytest
 from noise_id import consensus
 from noise_id.consensus import (
     MAX_JOINT_CELLS,
+    WITNESS_MIN_DISTANCE,
     JointTensor,
     binary_scenario,
     binary_stats,
@@ -32,7 +33,7 @@ from noise_id.errors import (
 from noise_id.matrices import Prior, Scenario, TransitionMatrix, align_permutation
 from noise_id.noisegen import asymmetric_T, sample_iid_noisy
 
-from .oracles import outer_product_joint, permutation_sum
+from .oracles import grid_witness, outer_product_joint, permutation_sum
 
 
 class TestJointTensor:
@@ -287,14 +288,14 @@ class TestEstimate:
 
 class TestWitness:
     def test_reference_input_yields_valid_witness(self):
-        w = witness_p2(0.7, 0.2, 0.2, seed=0)
-        assert w.residual <= 1e-8
-        assert w.distance >= 0.01
+        w = witness_p2(0.7, 0.2, 0.2)
+        assert w.residual <= 1e-12
+        assert w.distance >= WITNESS_MIN_DISTANCE
         got = binary_stats(w.gamma, w.e_plus, w.e_minus)
         want = binary_stats(0.7, 0.2, 0.2)
         assert max(
             abs(a - b) for a, b in zip(got.as_tuple(), want.as_tuple())
-        ) <= 1e-8
+        ) == w.residual
         # witnesses stay informative
         assert w.e_plus + w.e_minus < 1.0
 
@@ -307,23 +308,43 @@ class TestWitness:
             abs(x - y) for x, y in zip(a.as_tuple(), b.as_tuple())
         ) < 1e-3
 
-    def test_clean_corner_exhausts(self):
-        with pytest.raises(SearchExhaustedError):
-            witness_p2(1.0, 0.0, 0.0, seed=0)
+    @pytest.mark.parametrize(
+        "params, case",
+        [((1.0, 0.0, 0.0), "zero variance"), ((0.5, 0.5, 0.5), "zero variance"),
+         ((0.0, 0.2, 0.3), "zero variance"), ((0.3, 0.7, 0.3), "zero variance"),
+         ((0.5, 0.0, 0.0), "pin the parameters")],
+        ids=["clean-corner", "uninformative", "gamma-0", "uninformative-rounded", "clean-labels"],
+    )
+    def test_no_witness_names_the_case(self, params, case):
+        with pytest.raises(SearchExhaustedError, match=case):
+            witness_p2(*params)
+        # the grid search finds none either, or only an uninformative label
+        # let through by its 1e-8 statistics tolerance
+        found = grid_witness(*params)
+        assert found is None or found[1] + found[2] > 1 - 1e-7
 
     def test_interior_success_rate(self):
         rng = np.random.default_rng(99)
-        found = 0
-        for seed in range(50):
+        for _ in range(50):
             g = rng.uniform(0.15, 0.85)
             ep = rng.uniform(0.05, 0.4)
             em = rng.uniform(0.05, min(0.4, 0.95 - ep))
+            witness_p2(g, ep, em)
+
+    def test_finds_a_witness_wherever_the_grid_search_does(self):
+        # "the grid search finds one => the closed form finds one" is checked
+        # as its contrapositive: the search runs only where the closed form
+        # raises
+        rng = np.random.default_rng(15)
+        for params in rng.uniform(size=(3000, 3)):
             try:
-                witness_p2(g, ep, em, seed=seed)
-                found += 1
+                w = witness_p2(*params)
             except SearchExhaustedError:
-                pass
-        assert found >= 48  # >= 95% of 50
+                assert grid_witness(*params) is None, params
+                continue
+            assert w.residual <= 1e-12, params
+            assert w.e_plus + w.e_minus < 1.0, params
+            assert w.distance >= WITNESS_MIN_DISTANCE, params
 
 
 class TestMpe:

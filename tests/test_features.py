@@ -296,11 +296,18 @@ class TestFeatureRecovery:
         assert err <= 3.0
 
     @pytest.mark.parametrize(
-        "seed, index, restarts_used", [(1012, 0, 1), (1037, 1, 2)], ids=["1012-0", "1037-1"]
+        "seed, index, restarts_used",
+        [(1012, 0, 1), (1037, 1, 2),
+         pytest.param(105, 6, 1, marks=pytest.mark.xfail(
+             strict=True,
+             reason="restart 0 stops at residual 0.002506, above the truth's "
+             "0.002358 but under the tolerance, so the fit is reported as "
+             "converged; a start in the right basin (ROADMAP item 2) mends it"))],
+        ids=["1012-0", "1037-1", "105-6"],
     )
     def test_fit_reaches_the_truths_residual(self, seed, index, restarts_used):
-        # two draws of the feature-recovery benchmark: 1012/0 needs about 160
-        # LM steps, and restart 0 of 1037/1 is a local minimum above the
+        # draws of the feature-recovery benchmark: 1012/0 needs about 160 LM
+        # steps, and restart 0 of 1037/1 is a local minimum above the
         # sampling noise, so the fit moves on to restart 1
         rng = np.random.default_rng((seed, index))
         w = Prior(rng.dirichlet(np.full(3, 4.0)))
