@@ -243,7 +243,7 @@ def cmd_check(args) -> int:
         report = identifiability.check_instance_three_labels(sf.scenario().T)
     elif mode == "kruskal":
         p = sf.p or 3
-        obs = identifiability.ObservationModel((sf.scenario().T.as_obs(),) * p, sf.K)
+        obs = identifiability.ObservationModel((sf.scenario().T,) * p, sf.K)
         report = identifiability.check_kruskal_sum(obs)
     elif mode == "group":
         if sf.features is None:

@@ -41,47 +41,6 @@ MAX_JOINT_CELLS = 1024
 WITNESS_MIN_DISTANCE = 0.01
 
 
-@dataclass(frozen=True)
-class JointTensor:
-    """Order-p probability tensor over the joint outcomes of p observed
-    K-ary variables; the joint of p = 0 variables is the scalar 1."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if len(set(v.shape)) > 1:
-            raise ValidationError("all axes must share the same cardinality")
-        if (v < -1e-12).any():
-            raise ValidationError("joint tensor values must be >= 0")
-        if abs(v.sum() - 1.0) > 1e-9:
-            raise ValidationError(f"joint tensor sums to {v.sum()!r}, not 1")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def p(self) -> int:
-        return self.values.ndim
-
-    @property
-    def K(self) -> int:
-        return self.values.shape[0]
-
-    def marginalize(self, axis: int) -> "JointTensor":
-        return JointTensor(self.values.sum(axis=axis))
-
-    def symmetry_defect(self) -> float:
-        """The largest change that swapping two axes makes to any cell: 0
-        exactly when the tensor is symmetric, since the swaps generate every
-        order of the axes."""
-        v = self.values
-        swaps = [ik for group in _axis_swaps(self.p) for ik in group]
-        return max(
-            (float(np.abs(v - np.swapaxes(v, i, k)).max()) for i, k in swaps),
-            default=0.0,
-        )
-
-
 def _axis_swaps(p):
     """The pairs (i, k), i < k, of the axes of an order-p tensor, grouped by
     k. Group k with the identity holds one representative of each coset of
@@ -89,6 +48,26 @@ def _axis_swaps(p):
     entry (or the identity) from every group gives each of the p! axis orders
     exactly once."""
     return [[(i, k) for i in range(k)] for k in range(1, p)]
+
+
+def _symmetry_defect(v) -> float:
+    """The largest change that swapping two axes makes to any cell of v: 0
+    exactly when v is symmetric, since the swaps generate every order of
+    the axes."""
+    swaps = [ik for group in _axis_swaps(v.ndim) for ik in group]
+    # an infinite cell gives nan here, and fit refuses it
+    with np.errstate(invalid="ignore"):
+        return max(
+            (float(np.abs(v - np.swapaxes(v, i, k)).max()) for i, k in swaps),
+            default=0.0,
+        )
+
+
+def _frozen(v) -> np.ndarray:
+    """v as a read-only float64 array."""
+    v = np.asarray(v, dtype=np.float64)
+    v.setflags(write=False)
+    return v
 
 
 def _sum_over_axis_orders(s):
@@ -109,19 +88,21 @@ def _check_cells(K, p):
         )
 
 
-def exact_joint(s: Scenario, p: int) -> JointTensor:
-    """Forward model: values[j1..jp] = sum_y prior[y] * prod_i T[y, j_i].
-    Raises CapabilityError above MAX_JOINT_CELLS cells."""
+def exact_joint(s: Scenario, p: int) -> np.ndarray:
+    """Forward model, a read-only order-p array:
+    joint[j1..jp] = sum_y prior[y] * prod_i T[y, j_i]. Raises
+    CapabilityError above MAX_JOINT_CELLS cells."""
     if p < 1:
         raise ValidationError("p must be >= 1")
     _check_cells(s.K, p)
-    return JointTensor(_kernels.forward(s.prior.weights, [s.T.entries] * p))
+    return _frozen(_kernels.forward(s.prior.weights, [s.T.entries] * p))
 
 
-def empirical_joint(ds: NoisyDataset) -> JointTensor:
-    """Frequency tensor of the noisy-label p-tuples, symmetrized by averaging
-    over axis orders (valid for i.i.d. labels): the counts are summed over
-    all p! orders and divided once. Raises CapabilityError above
+def empirical_joint(ds: NoisyDataset) -> np.ndarray:
+    """Frequency tensor of the noisy-label p-tuples, a read-only array
+    symmetrized by averaging over axis orders (valid for i.i.d. labels): the
+    counts are summed over all p! orders and divided once. The joint of
+    p = 0 labels is the scalar 1. Raises CapabilityError above
     MAX_JOINT_CELLS cells."""
     if ds.n == 0:
         raise ValidationError("empty dataset")
@@ -131,7 +112,7 @@ def empirical_joint(ds: NoisyDataset) -> JointTensor:
     # one cell index per record (ravel_multi_index gives one scalar at p = 0)
     cells = np.broadcast_to(np.ravel_multi_index(tuple((ds.noisy - 1).T), shape), ds.n)
     counts = np.bincount(cells, minlength=K**p).reshape(shape)
-    return JointTensor(_sum_over_axis_orders(counts) / (math.factorial(p) * ds.n))
+    return _frozen(_sum_over_axis_orders(counts) / (math.factorial(p) * ds.n))
 
 
 @dataclass(frozen=True)
@@ -190,9 +171,27 @@ def fit(target, K, dims, restarts=20, seed=0, n=math.inf) -> EstimateResult:
     other factors, in the same order, are the `feature_models` (a tied fit
     has none). `residual` is the Frobenius norm of the remaining mismatch,
     and `converged` says whether a restart reached the sampling noise of n
-    records (if not, the best fit comes with a ConvergenceWarning). K above
-    MAX_ALIGN_K raises CapabilityError before any fit.
+    records (if not, the best fit comes with a ConvergenceWarning).
+
+    Every target is checked here, before any fit: a finite probability
+    tensor (entries >= -1e-12, sum 1 within 1e-9) over K >= 2 hidden states,
+    its axes as long as `dims` says (all K when tied), the last one K, or
+    ValidationError; K above MAX_ALIGN_K raises CapabilityError.
     """
+    target = np.ascontiguousarray(target, dtype=np.float64)
+    if not np.isfinite(target).all():
+        raise ValidationError("target tensor contains non-finite entries")
+    if (target < -1e-12).any():
+        raise ValidationError("target tensor values must be >= 0")
+    if abs(target.sum() - 1.0) > 1e-9:
+        raise ValidationError(f"target tensor sums to {target.sum()!r}, not 1")
+    if K < 2:
+        raise ValidationError(f"fit requires K >= 2 hidden classes, got K={K}")
+    axes = tuple(dims) * target.ndim if len(dims) == 1 else tuple(dims)
+    if target.shape != axes:
+        raise ValidationError(f"target tensor has shape {target.shape}, expected {axes}")
+    if target.shape[-1:] != (K,):
+        raise ValidationError(f"the last axis (the noisy label) of {target.shape} must be K={K}")
     check_align_k(K, "fit")
     f, w, mats, per_restart, converged = _kernels.solve(target, K, dims, restarts, seed, n)
     perm, T_aligned = max_trace_permutation(mats[-1])
@@ -208,30 +207,32 @@ def fit(target, K, dims, restarts=20, seed=0, n=math.inf) -> EstimateResult:
 
 
 def estimate(
-    joint: JointTensor,
+    joint,
     restarts: int = 20,
     seed=0,
     n: float = math.inf,
 ) -> EstimateResult:
-    """Recover (prior, T) from a symmetric joint tensor of order p >= 3 (p
+    """Recover (prior, T) from a symmetric joint array of order p >= 3 (p
     i.i.d. noisy labels, all of them fitted) estimated from n records (the
-    default, n = inf, is an exact tensor), by a tied `fit`. Fewer than three
-    labels raise CapabilityError. A converged fit that violates the
+    default, n = inf, is an exact tensor), by a tied `fit`, which checks its
+    values and shape. Fewer than three labels raise CapabilityError, an
+    asymmetric tensor ValidationError. A converged fit that violates the
     uniqueness preconditions (non-degenerate prior, full-rank T) comes with
     a warning."""
-    if joint.p < 3:
+    joint = np.asarray(joint, dtype=np.float64)
+    if joint.ndim < 3:
         raise CapabilityError(
-            f"p={joint.p} noisy labels per record; three conditionally "
+            f"p={joint.ndim} noisy labels per record; three conditionally "
             "independent labels are required for instance-level recovery"
         )
-    if joint.K < 2:
-        raise ValidationError("estimate requires a joint tensor over K >= 2 classes")
-    defect = joint.symmetry_defect()
+    # axes of different lengths cannot be swapped; fit refuses that shape
+    defect = _symmetry_defect(joint) if len(set(joint.shape)) == 1 else 0.0
     if defect > SYMMETRY_TOL:
         raise ValidationError(
             f"tensor is not symmetric (defect {defect:.3g}); symmetrize first"
         )
-    result = fit(joint.values, joint.K, (joint.K,), restarts, seed, n)
+    K = joint.shape[-1]
+    result = fit(joint, K, (K,), restarts, seed, n)
     s = result.scenario
     if result.converged and not (s.prior.non_degenerate and is_informative_label(s.T)):
         warnings.warn(

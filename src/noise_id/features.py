@@ -132,13 +132,10 @@ def fit_three_view(tensor, K, restarts=20, seed=0, n=math.inf) -> EstimateResult
     estimated from n records (n = inf: an exact tensor), by `consensus.fit`.
     The third axis is the noisy label, so C is returned as the transition
     matrix, with the hidden states ordered to maximize its trace, and A and
-    B as `feature_models`."""
-    target = np.ascontiguousarray(tensor, dtype=np.float64)
-    if target.ndim != 3:
+    B as `feature_models`. `fit` checks the tensor's values and shape."""
+    if np.ndim(tensor) != 3:
         raise ValidationError("need an order-3 tensor")
-    if target.shape[2] != K:
-        raise ValidationError("third axis must have cardinality K (the noisy label)")
-    return fit(target, K, target.shape, restarts, seed, n)
+    return fit(tensor, K, np.shape(tensor), restarts, seed, n)
 
 
 def empirical_three_view(ds: NoisyDataset) -> np.ndarray:

@@ -33,7 +33,7 @@ class ObservationModel:
     """Ordered list of observation matrices over a shared hidden space.
 
     Noisy labels and discrete features are both observed variables; a
-    transition matrix enters as an ObsMatrix with kappa = K.
+    TransitionMatrix is an ObsMatrix with kappa = K and enters as it is.
     """
 
     models: tuple

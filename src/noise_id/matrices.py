@@ -21,18 +21,19 @@ MAX_KRUSKAL_ROWS = 12
 MAX_ALIGN_K = 10
 
 
-def _as_array(m) -> np.ndarray:
+def _as_array(m, what="matrix") -> np.ndarray:
+    """m (or its entries) as a float64 array: 2-D, every entry finite."""
     if hasattr(m, "entries"):
         m = m.entries
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2:
         raise ValidationError(f"expected a 2-D matrix, got ndim={a.ndim}")
+    if not np.isfinite(a).all():
+        raise ValidationError(f"{what} contains non-finite entries")
     return a
 
 
 def _check_row_stochastic(a: np.ndarray, what: str) -> None:
-    if not np.isfinite(a).all():
-        raise ValidationError(f"{what} contains non-finite entries")
     if (a < -ROW_SUM_TOL).any() or (a > 1 + ROW_SUM_TOL).any():
         raise ValidationError(f"{what} has entries outside [0, 1]")
     sums = a.sum(axis=1)
@@ -48,12 +49,17 @@ class ObsMatrix:
     observed variable. Rows are distributions over the kappa outcomes."""
 
     entries: np.ndarray
+    _what = "observation matrix"
 
     def __post_init__(self):
-        a = _as_array(self.entries)
-        _check_row_stochastic(a, "observation matrix")
+        a = _as_array(self.entries, self._what)
+        self._check_shape(a)
+        _check_row_stochastic(a, self._what)
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
+
+    def _check_shape(self, a) -> None:
+        pass
 
     @property
     def K(self) -> int:
@@ -65,28 +71,18 @@ class ObsMatrix:
 
 
 @dataclass(frozen=True)
-class TransitionMatrix:
+class TransitionMatrix(ObsMatrix):
     """Row-stochastic K x K noise transition matrix: entry (i, j) is the
-    probability that clean class i is observed as noisy class j."""
+    probability that clean class i is observed as noisy class j. It is the
+    observation matrix of a noisy label, so it goes wherever one does."""
 
-    entries: np.ndarray
+    _what = "transition matrix"
 
-    def __post_init__(self):
-        a = _as_array(self.entries)
+    def _check_shape(self, a) -> None:
         if a.shape[0] != a.shape[1]:
             raise DimensionError(f"transition matrix must be square, got {a.shape}")
         if a.shape[0] < 2:
             raise ValidationError("transition matrix needs K >= 2")
-        _check_row_stochastic(a, "transition matrix")
-        a.setflags(write=False)
-        object.__setattr__(self, "entries", a)
-
-    @property
-    def K(self) -> int:
-        return self.entries.shape[0]
-
-    def as_obs(self) -> ObsMatrix:
-        return ObsMatrix(self.entries)
 
 
 @dataclass(frozen=True)

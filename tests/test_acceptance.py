@@ -244,7 +244,7 @@ def test_criterion_11_feature_path_and_checker():
         group = check_group_features(Tm, fm)
         # the group verdict uses the guaranteed bound Kr(T) + 2 d* >= 2K + d*;
         # it must never claim identifiability the raw sum condition rejects
-        stack = check_kruskal_sum(ObservationModel((Tm.as_obs(), *fm.models), K))
+        stack = check_kruskal_sum(ObservationModel((Tm, *fm.models), K))
         if group.verdict == IDENTIFIABLE:
             agree &= stack.verdict == IDENTIFIABLE
     report(11, "feature-path exact recovery at 1e-6; group checker consistent "

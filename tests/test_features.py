@@ -101,7 +101,7 @@ class TestSampleWithFeatures:
 class TestFeatureStack:
     def test_full_rank_T_plus_three_features_identifiable(self):
         fm = gen_feature_model(3, 3, 4, min_kruskal=3, seed=2)
-        obs = ObservationModel((asymmetric_T(3, 0.3).as_obs(), *fm.models), fm.K)
+        obs = ObservationModel((asymmetric_T(3, 0.3), *fm.models), fm.K)
         assert check_kruskal_sum(obs).verdict == IDENTIFIABLE
 
     def test_single_feature_not_guaranteed(self):
@@ -111,7 +111,7 @@ class TestFeatureStack:
     def test_ordering(self):
         fm = gen_feature_model(2, 2, 2, seed=0)
         T = asymmetric_T(2, 0.2)
-        obs = ObservationModel((T.as_obs(), *fm.models), fm.K)
+        obs = ObservationModel((T, *fm.models), fm.K)
         assert obs.p == 3
         np.testing.assert_array_equal(obs.models[0].entries, T.entries)
 
@@ -209,7 +209,7 @@ class TestFitThreeView:
         w = rng.dirichlet(np.full(K, 4.0))
         T = 0.5 * np.eye(K) + 0.5 * rng.dirichlet(np.ones(K), size=K)
         joint = exact_joint(Scenario(T=TransitionMatrix(T), prior=Prior(w)), 3)
-        general = fit_three_view(joint.values, K, restarts=1, seed=0)
+        general = fit_three_view(joint, K, restarts=1, seed=0)
         tied = estimate(joint, restarts=1, seed=0)
         assert general.converged and tied.converged
         for got in (general.scenario.T.entries, *(m.entries for m in general.feature_models)):
@@ -221,7 +221,7 @@ class TestFitThreeView:
 
     def test_tied_fit_has_no_feature_models(self):
         s = Scenario(T=asymmetric_T(2, 0.2), prior=Prior([0.6, 0.4]))
-        result = fit(exact_joint(s, 3).values, 2, (2,), restarts=1)
+        result = fit(exact_joint(s, 3), 2, (2,), restarts=1)
         assert result.converged and result.feature_models == ()
 
     def test_third_axis_must_be_K(self):
