@@ -11,6 +11,7 @@ import argparse
 import datetime
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -35,6 +36,7 @@ EXIT_SEARCH = 4
 SCENARIO_FIELDS = {
     "K", "prior", "T", "noise_model", "features", "groups", "seed", "n", "p",
 }
+PARAMS_FIELDS = {"lambda", "N", "epsilon_close", "label_probs", "T"}
 # a tuple, not a set: `in` must not hash the value, which may be a JSON list
 NOISE_MODELS = ("asymmetric", "explicit", "instance", "part_dependent")
 
@@ -380,10 +382,13 @@ def cmd_simulate_2nn(args) -> int:
     doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: parameters must be a JSON object")
+    unknown = set(doc) - PARAMS_FIELDS
+    if unknown:
+        raise ValidationError(f"{path}: unknown fields {sorted(unknown)}")
     seed = _require_seed(args)
     params = noisegen.UnstructuredParams(
-        lam=_field(path, doc, "lambda", tuple),
-        N=_field(path, doc, "N", int),
+        lam=_field(path, doc, "lambda", _floats),
+        N=_field(path, doc, "N", _int_at_least(3)),
         epsilon_close=_field(path, doc, "epsilon_close", float, 0.0),
         label_probs=_field(path, doc, "label_probs", _floats),
         T=TransitionMatrix(_field(path, doc, "T", _floats)),
@@ -467,6 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("witness", help="two-label non-identifiability witness")
+    # argparse's default takes "-5.96e-08" for an option; any "-" followed
+    # by a digit, or by "." and a digit, is a number here
+    p._negative_number_matcher = re.compile(r"^-\.?\d")
     p.add_argument("gamma", type=float)
     p.add_argument("e_plus", type=float)
     p.add_argument("e_minus", type=float)

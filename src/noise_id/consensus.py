@@ -184,7 +184,7 @@ def fit(target, K, dims, restarts=20, seed=0, n=math.inf) -> EstimateResult:
     if (target < -1e-12).any():
         raise ValidationError("target tensor values must be >= 0")
     if abs(target.sum() - 1.0) > 1e-9:
-        raise ValidationError(f"target tensor sums to {target.sum()!r}, not 1")
+        raise ValidationError(f"target tensor sums to {float(target.sum())!r}, not 1")
     if K < 2:
         raise ValidationError(f"fit requires K >= 2 hidden classes, got K={K}")
     axes = tuple(dims) * target.ndim if len(dims) == 1 else tuple(dims)

@@ -82,7 +82,9 @@ class NoisyDataset:
         sidecar.write_text(json.dumps(self.provenance, indent=2, sort_keys=True))
 
     @classmethod
-    def from_csv(cls, path, K: int | None = None) -> "NoisyDataset":
+    def from_csv(cls, path) -> "NoisyDataset":
+        """The dataset at path, with K the larger of the provenance sidecar's
+        K and the largest label."""
         path = Path(path)
         try:
             with path.open(newline="") as fh:
@@ -123,9 +125,8 @@ class NoisyDataset:
                 raise ValidationError(f"{sidecar}: field 'K' must be an integer")
         else:
             provenance = {"model": "unknown", "source": str(path)}
-        if K is None:
-            hi = int(max(y.max(initial=1), noisy.max(initial=1)))
-            K = max(provenance.get("K", hi), hi)
+        hi = int(max(y.max(initial=1), noisy.max(initial=1)))
+        K = max(provenance.get("K", hi), hi)
         return cls(y=y, noisy=noisy, K=K, provenance=provenance, x=x, r=r)
 
 

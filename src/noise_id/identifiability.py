@@ -225,7 +225,8 @@ def check_generic(K: int, cardinalities) -> IdentifiabilityReport:
     split (found by `_best_split` in O(d* K^2)); also requires
     d* >= ceil(log2((K+2)/2)). The even split from the generic-identifiability
     argument is not always optimal under uneven cardinalities, so the
-    grouping choice matters and is surfaced in the notes.
+    grouping choice matters and is surfaced in the notes. Fewer than two
+    features are not_guaranteed at every K.
     """
     cards = [int(c) for c in cardinalities]
     if any(c < 2 for c in cards):
@@ -234,24 +235,13 @@ def check_generic(K: int, cardinalities) -> IdentifiabilityReport:
     d_threshold = math.ceil(math.log2((K + 2) / 2))
     # three views: two meta-features and the noisy label
     _, rhs = kruskal_condition(K, [K] * 3)
-    if d_star == 0:
-        return _report("generic", 0, rhs, [], "no features available")
-    if d_star == 1 and K > 2:
+    if d_star < 2:
+        # one feature and the noisy label are two views, which identify no
+        # model: their kappa x K table has kappa*K - 1 free cells, K(K - 1)
+        # fewer than the parameters of the prior, the feature and T
         return _report("generic", 0, rhs, [], (
-            f"fewer than 2 features with K = {K} > 2: cannot form the "
-            f"two meta-features required by the three-observation condition"))
-    if d_star == 1:
-        # Cannot form two feature meta-groups; with K <= 2 the threshold
-        # d* >= 1 still holds, filling the second slot with the noisy label
-        # itself. Reported with a caveat since the label is then used twice.
-        lhs, _ = kruskal_condition(K, [min(K, cards[0]), K, K])
-        notes = (
-            f"single feature: slots (M_1, T, T) give "
-            f"min(K,{cards[0]}) + 2*min(K,K) = {lhs} vs {rhs}; "
-            f"d* = 1 >= ceil(log2((K+2)/2)) = {d_threshold}. Caveat: the noisy "
-            f"label fills both remaining slots."
-        )
-        return _report("generic", lhs, rhs, [], notes)
+            f"{d_star} feature(s): two meta-features, each from at least one "
+            f"feature, are required besides the noisy label"))
 
     g1 = _best_split(K, cards)
     tau1 = math.prod(cards[i] for i in g1)

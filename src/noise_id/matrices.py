@@ -40,7 +40,7 @@ def _check_row_stochastic(a: np.ndarray, what: str) -> None:
     bad = np.abs(sums - 1.0) > ROW_SUM_TOL
     if bad.any():
         i = int(np.argmax(bad))
-        raise ValidationError(f"{what} row {i} sums to {sums[i]!r}, not 1")
+        raise ValidationError(f"{what} row {i} sums to {float(sums[i])!r}, not 1")
 
 
 @dataclass(frozen=True)
@@ -53,13 +53,9 @@ class ObsMatrix:
 
     def __post_init__(self):
         a = _as_array(self.entries, self._what)
-        self._check_shape(a)
         _check_row_stochastic(a, self._what)
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
-
-    def _check_shape(self, a) -> None:
-        pass
 
     @property
     def K(self) -> int:
@@ -78,10 +74,11 @@ class TransitionMatrix(ObsMatrix):
 
     _what = "transition matrix"
 
-    def _check_shape(self, a) -> None:
-        if a.shape[0] != a.shape[1]:
-            raise DimensionError(f"transition matrix must be square, got {a.shape}")
-        if a.shape[0] < 2:
+    def __post_init__(self):
+        super().__post_init__()
+        if self.K != self.kappa:
+            raise DimensionError(f"transition matrix must be square, got {self.entries.shape}")
+        if self.K < 2:
             raise ValidationError("transition matrix needs K >= 2")
 
 
@@ -98,7 +95,7 @@ class Prior:
         if not np.isfinite(w).all() or (w < 0).any():
             raise ValidationError("prior entries must be finite and >= 0")
         if abs(w.sum() - 1.0) > ROW_SUM_TOL:
-            raise ValidationError(f"prior sums to {w.sum()!r}, not 1")
+            raise ValidationError(f"prior sums to {float(w.sum())!r}, not 1")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 

@@ -176,22 +176,23 @@ class UnstructuredParams:
     T: TransitionMatrix
 
     def __post_init__(self):
-        lam = tuple(float(v) for v in self.lam)
-        if not lam or any(v <= 0 for v in lam):
-            raise ValidationError("lambda entries must be positive")
+        lam = np.asarray(self.lam, dtype=np.float64)
+        # every test below is written so that nan fails it
+        if lam.ndim != 1 or not lam.size or not (np.isfinite(lam).all() and (lam > 0).all()):
+            raise ValidationError("lambda must be a nonempty list of finite positive numbers")
         if self.N < 3:
             raise ValidationError("N must be >= 3 to form triplets")
-        if self.epsilon_close < 0:
+        if not self.epsilon_close >= 0:
             raise ValidationError("epsilon_close must be >= 0")
         lp = np.asarray(self.label_probs, dtype=np.float64)
         if lp.ndim != 2:
             raise ValidationError("label_probs must be (num_points, K)")
-        if (lp < 0).any() or np.abs(lp.sum(axis=1) - 1.0).max() > 1e-9:
+        if not ((lp >= 0).all() and (np.abs(lp.sum(axis=1) - 1.0) <= 1e-9).all()):
             raise ValidationError("label_probs rows must be distributions")
         if lp.shape[1] != self.T.K:
             raise ValidationError("label_probs and T disagree on K")
         lp.setflags(write=False)
-        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "lam", tuple(lam.tolist()))
         object.__setattr__(self, "label_probs", lp)
 
     @property

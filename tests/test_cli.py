@@ -329,17 +329,64 @@ class TestWitness:
         assert capsys.readouterr().out == first
 
     @given(st.lists(st.floats(-0.1, 1.1), min_size=3, max_size=3))
+    @example([0.0, 0.0, -5.96e-08])
     @settings(max_examples=200, deadline=None)
     def test_any_input_exits_with_a_contract_code(self, params):
-        # argparse reads "-5e-08" as an option and exits 2 by SystemExit
+        # a negative number in exponent form is a number, not an option, so
+        # argparse never exits here
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            try:
-                code = main(["witness", *map(repr, params)])
-            except SystemExit as e:
-                code = e.code
+            code = main(["witness", *map(repr, params)])
         assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_SEARCH)
         assert "Traceback" not in err.getvalue()
+
+    @pytest.mark.parametrize("value", ["-5.96e-08", "-1e-3", "-.5"])
+    def test_negative_exponent_form_is_out_of_range(self, value, capsys):
+        assert main(["witness", "0", "0", value]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: e_minus must lie in [0, 1]\n"
+
+
+VALID_PARAMS = {
+    "lambda": [1.0, 2.0, 3.0],
+    "N": 8,
+    "epsilon_close": 0.0,
+    "label_probs": [[1, 0], [0, 1], [0.5, 0.5]],
+    "T": [[0.8, 0.2], [0.3, 0.7]],
+}
+
+
+@st.composite
+def mutated_params(draw):
+    """A valid simulate-2nn parameter file with one to three faults: a field
+    dropped, a field or one entry of a list field replaced (by a string,
+    null, a list, a float including nan, or an int in [-3, 50], so N stays
+    small), or an unknown field added."""
+    doc = json.loads(json.dumps(VALID_PARAMS))
+    value = st.one_of(
+        st.text(max_size=3),
+        st.none(),
+        st.lists(st.integers(-3, 50), max_size=3),
+        st.floats(-3, 50),
+        st.just(float("nan")),
+        st.integers(-3, 50),
+    )
+    for _ in range(draw(st.integers(1, 3))):
+        # an entry fault most often, since many of those keep the file valid
+        fault = draw(st.sampled_from(["drop", "replace", "entry", "entry", "entry", "unknown"]))
+        if fault == "unknown":
+            doc["extra"] = draw(value)
+        elif not doc:
+            break
+        elif fault == "drop":
+            del doc[draw(st.sampled_from(sorted(doc)))]
+        else:
+            owner, key = doc, draw(st.sampled_from(sorted(doc)))
+            if fault == "entry":
+                # an entry of lambda, or a cell of label_probs or T
+                while isinstance(owner[key], list) and owner[key]:
+                    owner, key = owner[key], draw(st.integers(0, len(owner[key]) - 1))
+            owner[key] = draw(value)
+    return doc
 
 
 class TestSimulate2nn:
@@ -378,6 +425,37 @@ class TestSimulate2nn:
         path = write(tmp_path, "bad.json", {"lambda": [1.0]})
         assert main(["simulate-2nn", path]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("N", 10.7, "'N': must be an integer, got 10.7"),
+         ("N", 2, "'N': must be >= 3, got 2"),
+         ("lambda", "abc", "'lambda'"),
+         ("extra", 1, "unknown fields ['extra']"),
+         ("label_probs", [[float("nan"), 1], [0, 1]], "label_probs rows must be distributions"),
+         ("lambda", [1.0, float("nan")], "lambda must be"),
+         ("epsilon_close", float("nan"), "epsilon_close must be >= 0")],
+        ids=["N-float", "N-small", "lambda-word", "unknown-field", "label-probs-nan",
+             "lambda-nan", "epsilon-nan"],
+    )
+    def test_strict_parameter_file(self, tmp_path, capsys, field, value, message):
+        doc = dict(VALID_PARAMS, **{field: value})
+        assert main(["simulate-2nn", write(tmp_path, "p.json", doc)]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+
+    @given(mutated_params())
+    @example(dict(VALID_PARAMS, **{"lambda": "abc"}))
+    @settings(max_examples=80, deadline=None)
+    def test_any_parameter_file_exits_with_a_contract_code(self, doc):
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "no triplets formed")
+            path = Path(tmp) / "p.json"
+            path.write_text(json.dumps(doc))
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["simulate-2nn", str(path), "--trials", "2"])
+        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_CAPABILITY, EXIT_SEARCH)
+        assert "Traceback" not in err.getvalue()
+
 
 class TestBound:
     def test_midpoint(self, tmp_path, capsys):
@@ -393,6 +471,31 @@ class TestBound:
     def test_missing_file_exit_2(self, tmp_path):
         t1 = write(tmp_path, "t1.json", [[1, 0], [0, 1]])
         assert main(["bound", t1, t1, str(tmp_path / "nope.json")]) == EXIT_VALIDATION
+
+
+class TestNonFiniteMatrices:
+    """A matrix file with a nan or an infinite entry (1e400 in JSON) exits 2."""
+
+    @pytest.fixture(params=["NaN", "1e400"], ids=["nan", "inf"])
+    def bad_matrix(self, request, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(f"[[{request.param}, 0.5], [0.5, 0.5]]")
+        return str(path)
+
+    def test_estimate_truth(self, binary_scenario_file, bad_matrix, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        assert main(["generate", binary_scenario_file, "-o", str(data)]) == EXIT_OK
+        for source in ([str(data)], [binary_scenario_file, "--exact"]):
+            argv = ["estimate", *source, "--truth", bad_matrix, "--restarts", "1"]
+            assert main(argv) == EXIT_VALIDATION
+            assert "non-finite entries" in capsys.readouterr().err
+
+    def test_bound(self, bad_matrix, tmp_path, capsys):
+        good = write(tmp_path, "good.json", [[1, 0], [0, 1]])
+        for argv in ([bad_matrix, good, good], [good, good, bad_matrix]):
+            assert main(["bound", *argv, "--json"]) == EXIT_VALIDATION
+            captured = capsys.readouterr()
+            assert captured.out == "" and "non-finite entries" in captured.err
 
 
 class TestMalformedInput:

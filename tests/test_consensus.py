@@ -45,12 +45,13 @@ def _symmetric_with(v, cell, value):
     return v
 
 
+# name: (a symmetric target, its K, what fit's message says)
 BAD_TARGETS = {
-    "non-finite": (np.full((2, 2, 2), np.nan), 2),
-    "inf": (_symmetric_with(np.full((2, 2, 2), 1 / 8), (0, 0, 0), np.inf), 2),
-    "negative": (_symmetric_with(np.full((2, 2, 2), 1 / 8), (0, 0, 0), -0.01), 2),
-    "sum": (np.full((2, 2, 2), 0.2), 2),
-    "K-below-2": (np.ones((1, 1, 1)), 1),
+    "nan": (np.full((2, 2, 2), np.nan), 2, "non-finite"),
+    "inf": (_symmetric_with(np.full((2, 2, 2), 1 / 8), (0, 0, 0), np.inf), 2, "non-finite"),
+    "negative": (_symmetric_with(np.full((2, 2, 2), 1 / 8), (0, 0, 0), -0.01), 2, ">= 0"),
+    "sum": (np.full((2, 2, 2), 0.2), 2, "sums to 1.6"),
+    "K-below-2": (np.ones((1, 1, 1)), 1, "K >= 2"),
 }
 
 
@@ -67,14 +68,14 @@ class TestFitChecksTheTarget:
 
     @pytest.mark.parametrize("name", BAD_TARGETS)
     def test_bad_values_refused_through_estimate(self, name):
-        target, _ = BAD_TARGETS[name]
-        with pytest.raises(ValidationError):
+        target, _, message = BAD_TARGETS[name]
+        with pytest.raises(ValidationError, match=message):
             estimate(target)
 
     @pytest.mark.parametrize("name", BAD_TARGETS)
     def test_bad_values_refused_through_fit_three_view(self, name):
-        target, K = BAD_TARGETS[name]
-        with pytest.raises(ValidationError):
+        target, K, message = BAD_TARGETS[name]
+        with pytest.raises(ValidationError, match=message):
             fit_three_view(target, K)
 
     def test_tied_axes_must_all_be_K(self):
@@ -91,6 +92,8 @@ class TestFitChecksTheTarget:
         with pytest.raises(ValidationError, match="last axis"):
             fit_three_view(np.full((2, 2, 3), 1 / 12), K=2)
 
+
+class TestJointArrays:
     def test_read_only_float64_results(self):
         s = binary_scenario(0.6, 0.1, 0.3)
         ds = sample_iid_noisy(s.prior, s.T, p=3, n=50, seed=0)
@@ -466,6 +469,13 @@ class TestErrMetric:
         with pytest.raises(DimensionError):
             err_metric(np.eye(2), np.eye(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_truth_refused(self, bad):
+        # a nan truth once left the alignment search with no permutation
+        truth = [[bad, 0.5], [0.5, 0.5]]
+        with pytest.raises(ValidationError, match="non-finite"):
+            err_metric(np.eye(2), truth, permutation_invariant=True)
+
 
 class TestMixingBound:
     def test_all_equal(self):
@@ -491,3 +501,10 @@ class TestMixingBound:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             mixing_bound(np.eye(2), np.eye(2), np.eye(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_refused(self, bad):
+        M = [[bad, 0.5], [0.5, 0.5]]
+        for args in ((M, np.eye(2), np.eye(2)), (np.eye(2), np.eye(2), M)):
+            with pytest.raises(ValidationError, match="non-finite"):
+                mixing_bound(*args)

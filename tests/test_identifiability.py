@@ -181,8 +181,9 @@ class TestGeneric:
         assert "split" in r.notes
 
     def test_K2_single_binary_feature(self):
+        # one feature and the label are only two views, even at K = 2
         r = check_generic(2, [2])
-        assert (r.lhs, r.rhs, r.verdict) == (6, 6, IDENTIFIABLE)
+        assert (r.lhs, r.rhs, r.verdict) == (0, 6, NOT_GUARANTEED)
 
     def test_no_features(self):
         assert check_generic(2, []).verdict == NOT_GUARANTEED

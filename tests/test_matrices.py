@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from noise_id.errors import CapabilityError, DimensionError, ValidationError
+from noise_id.identifiability import ObservationModel
 from noise_id.matrices import (
     ObsMatrix,
     Prior,
@@ -40,7 +43,7 @@ class TestTypes:
         assert (m.K, m.kappa) == (2, 3)
 
     def test_prior_validates(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"prior sums to 0\.9, not 1"):
             Prior([0.5, 0.4])
         assert Prior([0.5, 0.5]).non_degenerate
         assert not Prior([1.0, 0.0]).non_degenerate
@@ -55,6 +58,34 @@ class TestTypes:
         T = TransitionMatrix([[0.8, 0.2], [0.2, 0.8]])
         with pytest.raises(ValueError):
             T.entries[0, 0] = 0.0
+
+    def test_transition_matrix_is_a_frozen_obs_matrix(self):
+        T = TransitionMatrix([[0.8, 0.2], [0.2, 0.8]])
+        assert isinstance(T, ObsMatrix) and (T.K, T.kappa) == (2, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            T.entries = np.eye(2)
+        assert ObservationModel((T,) * 3, 2).models == (T,) * 3
+
+    def test_transition_matrix_messages_say_so(self):
+        # the sum reads as a plain float, not as "np.float64(0.9)"
+        with pytest.raises(ValidationError, match=r"transition matrix row 0 sums to 0\.9, not 1"):
+            TransitionMatrix([[0.5, 0.4], [0.5, 0.5]])
+        with pytest.raises(ValidationError, match="transition matrix needs K >= 2"):
+            TransitionMatrix([[1.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_refused_everywhere(self, bad):
+        M = [[bad, 0.5], [0.5, 0.5]]
+        for kind, what in ((TransitionMatrix, "transition matrix"),
+                           (ObsMatrix, "observation matrix")):
+            with pytest.raises(ValidationError, match=f"{what} contains non-finite entries"):
+                kind(M)
+        for fn in (kruskal_rank, numerical_rank, max_trace_permutation,
+                   lambda m: align_permutation(m, np.eye(2)),
+                   lambda m: align_permutation(np.eye(2), m),
+                   lambda m: frobenius_distance(m, np.eye(2))):
+            with pytest.raises(ValidationError, match="matrix contains non-finite entries"):
+                fn(M)
 
 
 class TestKruskalRank:

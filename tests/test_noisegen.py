@@ -257,3 +257,18 @@ class TestUnstructured:
                 label_probs=np.array([[1.0, 0.0]]),
                 T=TransitionMatrix(np.eye(2)),
             )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("label_probs", [[np.nan, 1.0], [0.0, 1.0]]), ("lam", (1.0, np.nan)),
+         ("lam", (1.0, np.inf)), ("lam", ((1.0, 2.0),)), ("lam", 2.0),
+         ("epsilon_close", np.nan)],
+        ids=["label-probs-nan", "lambda-nan", "lambda-inf", "lambda-2d", "lambda-scalar",
+             "epsilon-nan"],
+    )
+    def test_non_finite_and_misshapen_refused(self, field, value):
+        # nan passes a test written as "x < 0", so each test is written to fail it
+        fields = dict(lam=(1.0,), N=10, epsilon_close=0.0,
+                      label_probs=[[1.0, 0.0], [0.0, 1.0]], T=TransitionMatrix(np.eye(2)))
+        with pytest.raises(ValidationError):
+            UnstructuredParams(**{**fields, field: value})
