@@ -7,9 +7,7 @@ from .matrices import (
     Scenario,
     TransitionMatrix,
     align_permutation,
-    frobenius_distance,
     kruskal_rank,
-    numerical_rank,
 )
 from .identifiability import (
     IdentifiabilityReport,
@@ -19,7 +17,6 @@ from .identifiability import (
     check_instance_three_labels,
     check_kruskal_sum,
     check_unknown_groups,
-    is_informative_feature,
     is_informative_label,
 )
 
@@ -29,9 +26,7 @@ __all__ = [
     "Scenario",
     "TransitionMatrix",
     "align_permutation",
-    "frobenius_distance",
     "kruskal_rank",
-    "numerical_rank",
     "IdentifiabilityReport",
     "ObservationModel",
     "check_generic",
@@ -39,7 +34,6 @@ __all__ = [
     "check_instance_three_labels",
     "check_kruskal_sum",
     "check_unknown_groups",
-    "is_informative_feature",
     "is_informative_label",
 ]
 

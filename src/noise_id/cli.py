@@ -8,6 +8,7 @@ observations), 4 search exhausted, 1 internal error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import os
@@ -25,7 +26,7 @@ from .errors import (
     SearchExhaustedError,
     ValidationError,
 )
-from .matrices import Prior, Scenario, TransitionMatrix
+from .matrices import Prior, Scenario, TransitionMatrix, _as_array
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -44,20 +45,31 @@ NOISE_MODELS = ("asymmetric", "explicit", "instance", "part_dependent")
 _REQUIRED = object()
 
 
-def _field(path, doc, key, cast, default=_REQUIRED, section=""):
+@contextlib.contextmanager
+def _located(path):
+    """Name the file at path (or files, joined by commas) in any
+    ValidationError raised while its document is converted or checked
+    against the others."""
+    try:
+        yield
+    except ValidationError as e:
+        raise type(e)(f"{path}: {e}") from None
+
+
+def _field(doc, key, cast, default=_REQUIRED, section=""):
     """cast(doc[key]), or default when the key is absent or null. A missing
     required field, or a value that cast rejects, raises ValidationError
-    naming the file and the field."""
+    naming the field."""
     name = f"{section}.{key}" if section else key
     value = doc.get(key)
     if value is None:
         if default is _REQUIRED:
-            raise ValidationError(f"{path}: missing required field '{name}'")
+            raise ValidationError(f"missing required field '{name}'")
         return default
     try:
         return cast(value)
     except (TypeError, ValueError, OverflowError, argparse.ArgumentTypeError) as e:
-        raise ValidationError(f"{path}: field '{name}': {e}") from None
+        raise ValidationError(f"field '{name}': {e}") from None
 
 
 def _floats(v):
@@ -104,74 +116,68 @@ def _seed(v):
 
 
 class ScenarioFile:
-    """Validated view of a scenario JSON document."""
+    """Validated view of a scenario JSON document; `path` names it in the
+    messages of later checks."""
 
     def __init__(self, doc: dict, path: str = "<memory>"):
+        self.path = path
         if not isinstance(doc, dict):
-            raise ValidationError(f"{path}: scenario must be a JSON object")
+            raise ValidationError("scenario must be a JSON object")
         unknown = set(doc) - SCENARIO_FIELDS
         if unknown:
-            raise ValidationError(f"{path}: unknown fields {sorted(unknown)}")
-        self.K = _field(path, doc, "K", _int_at_least(1))
-        self.seed = _field(path, doc, "seed", _seed, None)
-        self.n = _field(path, doc, "n", _int_at_least(0), 0) or None
-        self.p = _field(path, doc, "p", _int_at_least(0), 0) or None
-        self.path = path
+            raise ValidationError(f"unknown fields {sorted(unknown)}")
+        self.K = _field(doc, "K", _int_at_least(1))
+        self.seed = _field(doc, "seed", _seed, None)
+        self.n = _field(doc, "n", _int_at_least(1), None)
+        self.p = _field(doc, "p", _int_at_least(1), None)
 
         uniform = np.full(self.K, 1.0 / self.K)
-        self.prior = Prior(_field(path, doc, "prior", _floats, uniform))
+        self.prior = Prior(_field(doc, "prior", _floats, uniform))
         if self.prior.K != self.K:
-            raise ValidationError(f"{path}: prior length does not match K")
+            raise ValidationError("prior length does not match K")
 
         nm = doc.get("noise_model") or {"type": "explicit"}
         if not isinstance(nm, dict) or nm.get("type") not in NOISE_MODELS:
-            raise ValidationError(
-                f"{path}: noise_model.type must be one of {sorted(NOISE_MODELS)}"
-            )
+            raise ValidationError(f"noise_model.type must be one of {sorted(NOISE_MODELS)}")
         self.noise_model = nm
         if nm["type"] in ("asymmetric", "instance"):
-            self.eps = _field(path, nm, "eps", float, section="noise_model")
+            self.eps = _field(nm, "eps", float, section="noise_model")
         if nm["type"] == "instance":
-            self.S = _field(path, nm, "S", _int_at_least(0), 10, section="noise_model")
+            self.S = _field(nm, "S", _int_at_least(0), 10, section="noise_model")
 
         self.T = None
         if nm["type"] == "asymmetric":
             self.T = noisegen.asymmetric_T(self.K, self.eps)
         elif nm["type"] == "part_dependent":
-            parts = _field(path, nm, "parts", lambda v: tuple(map(_floats, v)),
-                           section="noise_model")
-            weights = _field(path, nm, "weights", _floats, section="noise_model")
-            self.T = noisegen.part_dependent_T(weights, noisegen.PartModel(parts))
+            parts = _field(nm, "parts", lambda v: tuple(map(_floats, v)), section="noise_model")
+            weights = _field(nm, "weights", _floats, section="noise_model")
+            self.T = noisegen.part_dependent_T(weights, parts)
         elif doc.get("T") is not None:
-            self.T = TransitionMatrix(_field(path, doc, "T", _floats))
+            self.T = TransitionMatrix(_field(doc, "T", _floats))
         # a missing T is only an error for commands that need one; scenario()
         # raises then
         if self.T is not None and self.T.K != self.K:
-            raise ValidationError(f"{path}: T shape does not match K")
+            raise ValidationError("T shape does not match K")
 
         self.features = doc.get("features")
         if self.features is not None:
             fs = self.features
             if not isinstance(fs, dict):
-                raise ValidationError(f"{path}: features must be a JSON object")
+                raise ValidationError("features must be a JSON object")
             extra = set(fs) - {"d_star", "cardinalities", "min_kruskal"}
             if extra:
-                raise ValidationError(f"{path}: unknown feature fields {sorted(extra)}")
-            self.d_star = _field(path, fs, "d_star", _int_at_least(0), section="features")
+                raise ValidationError(f"unknown feature fields {sorted(extra)}")
+            self.d_star = _field(fs, "d_star", _int_at_least(0), section="features")
             self.cardinalities = _field(
-                path, fs, "cardinalities", _cardinalities(self.d_star),
-                (2,) * self.d_star, section="features",
+                fs, "cardinalities", _cardinalities(self.d_star), (2,) * self.d_star,
+                section="features",
             )
-            self.min_kruskal = _field(
-                path, fs, "min_kruskal", _int_at_least(1), 2, section="features"
-            )
+            self.min_kruskal = _field(fs, "min_kruskal", _int_at_least(1), 2, section="features")
         self.groups = doc.get("groups")
         if self.groups is not None:
             if not isinstance(self.groups, dict):
-                raise ValidationError(f"{path}: groups must be a JSON object")
-            self.group_count = _field(
-                path, self.groups, "count", _int_at_least(1), section="groups"
-            )
+                raise ValidationError("groups must be a JSON object")
+            self.group_count = _field(self.groups, "count", _int_at_least(1), section="groups")
 
     def scenario(self) -> Scenario:
         if self.T is None:
@@ -180,17 +186,20 @@ class ScenarioFile:
 
 
 def load_scenario(path) -> ScenarioFile:
-    return ScenarioFile(_read_json(path), str(path))
+    doc = _read_json(path)
+    with _located(path):
+        return ScenarioFile(doc, str(path))
 
 
 def load_matrix(path) -> np.ndarray:
+    """The matrix in the JSON file at path (a matrix, or an object whose
+    field T holds one): 2-D with finite entries, or ValidationError naming
+    the file."""
     doc = _read_json(path)
     if isinstance(doc, dict) and "T" in doc:
         doc = doc["T"]
-    try:
-        return _floats(doc)
-    except (TypeError, ValueError) as e:
-        raise ValidationError(f"{path}: not a numeric matrix: {e}") from None
+    with _located(path):
+        return _as_array(doc)
 
 
 def emit(report: dict, args) -> None:
@@ -245,7 +254,7 @@ def cmd_check(args) -> int:
         report = identifiability.check_instance_three_labels(sf.scenario().T)
     elif mode == "kruskal":
         p = sf.p or 3
-        obs = identifiability.ObservationModel((sf.scenario().T,) * p, sf.K)
+        obs = identifiability.ObservationModel((sf.scenario().T,) * p)
         report = identifiability.check_kruskal_sum(obs)
     elif mode == "group":
         if sf.features is None:
@@ -327,23 +336,23 @@ def cmd_generate(args) -> int:
 
 def cmd_estimate(args) -> int:
     seed = _require_seed(args)
+    truth = load_matrix(args.truth) if args.truth else None
     if args.exact:
         sf = load_scenario(args.source)
         joint = consensus.exact_joint(sf.scenario(), sf.p or 3)
         result = consensus.estimate(joint, restarts=args.restarts, seed=seed)
-        truth = sf.scenario().T.entries if args.truth is None else load_matrix(args.truth)
+        if truth is None:
+            truth = sf.scenario().T.entries
     else:
         ds = NoisyDataset.from_csv(args.source)
         if args.from_features:
             result = features.fit_three_view(
-                features.empirical_three_view(ds), ds.K,
-                restarts=args.restarts, seed=seed, n=ds.n,
+                features.empirical_three_view(ds), restarts=args.restarts, seed=seed, n=ds.n
             )
         else:
             result = consensus.estimate(
                 consensus.empirical_joint(ds), restarts=args.restarts, seed=seed, n=ds.n
             )
-        truth = load_matrix(args.truth) if args.truth else None
     report = {
         "prior": result.scenario.prior.weights.tolist(),
         "T": result.scenario.T.entries.tolist(),
@@ -353,9 +362,10 @@ def cmd_estimate(args) -> int:
         "alignment_permutation": list(result.permutation),
     }
     if truth is not None:
-        report["err"] = consensus.err_metric(
-            result.scenario.T.entries, truth, permutation_invariant=True
-        )
+        with _located(args.truth or args.source):
+            report["err"] = consensus.err_metric(
+                result.scenario.T.entries, truth, permutation_invariant=True
+            )
     emit(report, args)
     return EXIT_OK
 
@@ -380,19 +390,20 @@ def cmd_witness(args) -> int:
 def cmd_simulate_2nn(args) -> int:
     path = args.params
     doc = _read_json(path)
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{path}: parameters must be a JSON object")
-    unknown = set(doc) - PARAMS_FIELDS
-    if unknown:
-        raise ValidationError(f"{path}: unknown fields {sorted(unknown)}")
+    with _located(path):
+        if not isinstance(doc, dict):
+            raise ValidationError("parameters must be a JSON object")
+        unknown = set(doc) - PARAMS_FIELDS
+        if unknown:
+            raise ValidationError(f"unknown fields {sorted(unknown)}")
+        params = noisegen.UnstructuredParams(
+            lam=_field(doc, "lambda", _floats),
+            N=_field(doc, "N", _int_at_least(3)),
+            epsilon_close=_field(doc, "epsilon_close", float, 0.0),
+            label_probs=_field(doc, "label_probs", _floats),
+            T=TransitionMatrix(_field(doc, "T", _floats)),
+        )
     seed = _require_seed(args)
-    params = noisegen.UnstructuredParams(
-        lam=_field(path, doc, "lambda", _floats),
-        N=_field(path, doc, "N", _int_at_least(3)),
-        epsilon_close=_field(path, doc, "epsilon_close", float, 0.0),
-        label_probs=_field(path, doc, "label_probs", _floats),
-        T=TransitionMatrix(_field(path, doc, "T", _floats)),
-    )
     rates = []
     thresholds = []
     for t in range(args.trials):
@@ -417,9 +428,10 @@ def cmd_simulate_2nn(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    lhs, rhs, holds = consensus.mixing_bound(
-        load_matrix(args.t1), load_matrix(args.t2), load_matrix(args.tstar)
-    )
+    paths = (args.t1, args.t2, args.tstar)
+    mats = [load_matrix(path) for path in paths]
+    with _located(", ".join(paths)):
+        lhs, rhs, holds = consensus.mixing_bound(*mats)
     emit({"lhs": lhs, "rhs": rhs, "holds": bool(holds)}, args)
     return EXIT_OK
 

@@ -160,11 +160,12 @@ class EstimateResult:
         return len(self.per_restart_residuals)
 
 
-def fit(target, K, dims, restarts=20, seed=0, n=math.inf) -> EstimateResult:
-    """Fit a latent-class model over K hidden states to the tensor `target`
-    estimated from n records (n = inf: an exact tensor), by `_kernels.solve`.
-    One entry in `dims` ties one K x K factor to every axis; one entry per
-    axis fits distinct K x dims[k] factors.
+def fit(target, tied, restarts=20, seed=0, n=math.inf) -> EstimateResult:
+    """Fit a latent-class model to the tensor `target` estimated from n
+    records (n = inf: an exact tensor), by `_kernels.solve`. The last axis
+    is the noisy label, so its length is the number K of hidden states. A
+    tied fit puts one K x K factor on every axis; otherwise axis k gets its
+    own K x target.shape[k] factor.
 
     The last factor is the noisy label's transition matrix; the hidden
     states are ordered to maximize its trace (diagonal dominance), and the
@@ -174,9 +175,9 @@ def fit(target, K, dims, restarts=20, seed=0, n=math.inf) -> EstimateResult:
     records (if not, the best fit comes with a ConvergenceWarning).
 
     Every target is checked here, before any fit: a finite probability
-    tensor (entries >= -1e-12, sum 1 within 1e-9) over K >= 2 hidden states,
-    its axes as long as `dims` says (all K when tied), the last one K, or
-    ValidationError; K above MAX_ALIGN_K raises CapabilityError.
+    tensor (entries >= -1e-12, sum 1 within 1e-9) with K >= 2, every axis K
+    long when tied, or ValidationError; K above MAX_ALIGN_K raises
+    CapabilityError.
     """
     target = np.ascontiguousarray(target, dtype=np.float64)
     if not np.isfinite(target).all():
@@ -185,14 +186,14 @@ def fit(target, K, dims, restarts=20, seed=0, n=math.inf) -> EstimateResult:
         raise ValidationError("target tensor values must be >= 0")
     if abs(target.sum() - 1.0) > 1e-9:
         raise ValidationError(f"target tensor sums to {float(target.sum())!r}, not 1")
+    K = target.shape[-1]
     if K < 2:
         raise ValidationError(f"fit requires K >= 2 hidden classes, got K={K}")
-    axes = tuple(dims) * target.ndim if len(dims) == 1 else tuple(dims)
-    if target.shape != axes:
-        raise ValidationError(f"target tensor has shape {target.shape}, expected {axes}")
-    if target.shape[-1:] != (K,):
-        raise ValidationError(f"the last axis (the noisy label) of {target.shape} must be K={K}")
+    square = (K,) * target.ndim
+    if tied and target.shape != square:
+        raise ValidationError(f"target tensor has shape {target.shape}, expected {square}")
     check_align_k(K, "fit")
+    dims = (K,) if tied else target.shape
     f, w, mats, per_restart, converged = _kernels.solve(target, K, dims, restarts, seed, n)
     perm, T_aligned = max_trace_permutation(mats[-1])
     idx = list(perm)
@@ -231,8 +232,7 @@ def estimate(
         raise ValidationError(
             f"tensor is not symmetric (defect {defect:.3g}); symmetrize first"
         )
-    K = joint.shape[-1]
-    result = fit(joint, K, (K,), restarts, seed, n)
+    result = fit(joint, True, restarts, seed, n)
     s = result.scenario
     if result.converged and not (s.prior.non_degenerate and is_informative_label(s.T)):
         warnings.warn(

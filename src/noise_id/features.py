@@ -59,7 +59,7 @@ def gen_feature_model(
                 f"feature {i}: no matrix with Kruskal rank >= {min_kruskal} "
                 f"in {REJECTION_CAP} attempts"
             )
-    return ObservationModel(tuple(models), K)
+    return ObservationModel(tuple(models))
 
 
 def sample_with_features(
@@ -127,15 +127,15 @@ def exact_three_view_joint(prior: Prior, mats) -> np.ndarray:
     return _kernels.forward(prior.weights, ms)
 
 
-def fit_three_view(tensor, K, restarts=20, seed=0, n=math.inf) -> EstimateResult:
+def fit_three_view(tensor, restarts=20, seed=0, n=math.inf) -> EstimateResult:
     """Fit (prior, A, B, C) to an order-3 joint with distinct factors,
     estimated from n records (n = inf: an exact tensor), by `consensus.fit`.
-    The third axis is the noisy label, so C is returned as the transition
-    matrix, with the hidden states ordered to maximize its trace, and A and
-    B as `feature_models`. `fit` checks the tensor's values and shape."""
+    The third axis is the noisy label, so its length is K and C is returned
+    as the transition matrix, with the hidden states ordered to maximize its
+    trace, and A and B as `feature_models`. `fit` checks the tensor."""
     if np.ndim(tensor) != 3:
         raise ValidationError("need an order-3 tensor")
-    return fit(tensor, K, np.shape(tensor), restarts, seed, n)
+    return fit(tensor, False, restarts, seed, n)
 
 
 def empirical_three_view(ds: NoisyDataset) -> np.ndarray:

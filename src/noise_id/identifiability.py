@@ -19,10 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DimensionError, ValidationError
-from .matrices import ObsMatrix, TransitionMatrix, kruskal_rank, numerical_rank
+from .matrices import ObsMatrix, TransitionMatrix, _independent, kruskal_rank
 
 IDENTIFIABLE = "identifiable"
 NOT_GUARANTEED = "not_guaranteed"
@@ -30,28 +28,27 @@ NOT_GUARANTEED = "not_guaranteed"
 
 @dataclass(frozen=True)
 class ObservationModel:
-    """Ordered list of observation matrices over a shared hidden space.
+    """Ordered list of observation matrices over a shared hidden space of K
+    states, K being their common row count.
 
     Noisy labels and discrete features are both observed variables; a
     TransitionMatrix is an ObsMatrix with kappa = K and enters as it is.
     """
 
     models: tuple
-    K: int
 
     def __post_init__(self):
-        models = tuple(
-            m if isinstance(m, ObsMatrix) else ObsMatrix(np.asarray(m, dtype=float))
-            for m in self.models
-        )
+        models = tuple(m if isinstance(m, ObsMatrix) else ObsMatrix(m) for m in self.models)
         if not models:
             raise ValidationError("observation model needs at least one matrix")
-        for i, m in enumerate(models):
-            if m.K != self.K:
-                raise DimensionError(
-                    f"model {i} has {m.K} rows, expected K={self.K}"
-                )
+        rows = [m.K for m in models]
+        if len(set(rows)) > 1:
+            raise DimensionError(f"observation matrices must share one row count, got {rows}")
         object.__setattr__(self, "models", models)
+
+    @property
+    def K(self) -> int:
+        return self.models[0].K
 
     @property
     def p(self) -> int:
@@ -68,13 +65,11 @@ class IdentifiabilityReport:
     lhs: int
     rhs: int
     per_model_kruskal: tuple[int, ...]
-    verdict: str
     notes: str = ""
 
-    def __post_init__(self):
-        expected = IDENTIFIABLE if self.lhs >= self.rhs else NOT_GUARANTEED
-        if self.verdict != expected:
-            raise ValidationError("verdict must equal (lhs >= rhs)")
+    @property
+    def verdict(self) -> str:
+        return IDENTIFIABLE if self.lhs >= self.rhs else NOT_GUARANTEED
 
     def to_dict(self) -> dict:
         return {
@@ -88,8 +83,7 @@ class IdentifiabilityReport:
 
 
 def _report(name, lhs, rhs, kruskals, notes):
-    verdict = IDENTIFIABLE if lhs >= rhs else NOT_GUARANTEED
-    return IdentifiabilityReport(name, int(lhs), int(rhs), tuple(kruskals), verdict, notes)
+    return IdentifiabilityReport(name, int(lhs), int(rhs), tuple(kruskals), notes)
 
 
 def kruskal_condition(K: int, ranks) -> tuple[int, int]:
@@ -116,8 +110,9 @@ def check_kruskal_sum(obs: ObservationModel) -> IdentifiabilityReport:
 
 
 def is_informative_label(T: TransitionMatrix) -> bool:
-    """A noisy label is informative iff its transition matrix has full rank."""
-    return numerical_rank(T) == T.K
+    """A noisy label is informative iff its transition matrix has full rank:
+    its rows are independent under the one test of `kruskal_rank`."""
+    return _independent(T.entries)
 
 
 def check_instance_three_labels(T: TransitionMatrix) -> IdentifiabilityReport:
@@ -134,11 +129,6 @@ def check_instance_three_labels(T: TransitionMatrix) -> IdentifiabilityReport:
         "In this setting the full-rank condition is both sufficient and necessary."
     )
     return _report("instance_three_labels", lhs, rhs, [kr, kr, kr], notes)
-
-
-def is_informative_feature(M: ObsMatrix) -> bool:
-    """A feature is informative iff its observation matrix has Kruskal rank >= 2."""
-    return kruskal_rank(M) >= 2
 
 
 def check_group_features(

@@ -25,7 +25,10 @@ def _as_array(m, what="matrix") -> np.ndarray:
     """m (or its entries) as a float64 array: 2-D, every entry finite."""
     if hasattr(m, "entries"):
         m = m.entries
-    a = np.asarray(m, dtype=np.float64)
+    try:
+        a = np.asarray(m, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ValidationError(f"{what} is not numeric: {e}") from None
     if a.ndim != 2:
         raise ValidationError(f"expected a 2-D matrix, got ndim={a.ndim}")
     if not np.isfinite(a).all():
@@ -157,22 +160,6 @@ def kruskal_rank(M) -> int:
             if not _independent(a[list(idx)]):
                 return size - 1
     return n - 1
-
-
-def numerical_rank(M) -> int:
-    """Count of singular values above RANK_TOL times the largest one."""
-    a = _as_array(M)
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int((s > RANK_TOL * s[0]).sum())
-
-
-def frobenius_distance(A, B) -> float:
-    a, b = _as_array(A), _as_array(B)
-    if a.shape != b.shape:
-        raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
 
 
 def check_align_k(K, what) -> None:

@@ -120,43 +120,18 @@ def instance_noise(features, clean, eps: float, K: int, seed):
     return noisy0 + 1, pvec
 
 
-@dataclass(frozen=True)
-class PartModel:
-    """Basis transition matrices combined by instance-level simplex weights."""
-
-    parts: tuple
-
-    def __post_init__(self):
-        parts = tuple(
-            p if isinstance(p, TransitionMatrix) else TransitionMatrix(p)
-            for p in self.parts
-        )
-        if not parts:
-            raise ValidationError("part model needs at least one part")
-        K = parts[0].K
-        if any(p.K != K for p in parts):
-            raise ValidationError("all parts must share K")
-        object.__setattr__(self, "parts", parts)
-
-    @property
-    def K(self) -> int:
-        return self.parts[0].K
-
-    @property
-    def num_parts(self) -> int:
-        return len(self.parts)
-
-
-def part_dependent_T(weights, parts: PartModel) -> TransitionMatrix:
-    """Convex combination of the part matrices."""
+def part_dependent_T(weights, parts) -> TransitionMatrix:
+    """Convex combination of the part transition matrices, which must share
+    K, by simplex weights, one per part."""
+    parts = [TransitionMatrix(p) for p in parts]
+    if len({p.K for p in parts}) != 1:
+        raise ValidationError("need at least one part, and all parts must share K")
     w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (parts.num_parts,):
-        raise ValidationError(
-            f"weights must have length {parts.num_parts}, got {w.shape}"
-        )
+    if w.shape != (len(parts),):
+        raise ValidationError(f"weights must have length {len(parts)}, got {w.shape}")
     if (w < -1e-9).any() or abs(w.sum() - 1.0) > 1e-9:
         raise ValidationError("weights must lie on the simplex (tolerance 1e-9)")
-    stack = np.stack([p.entries for p in parts.parts])
+    stack = np.stack([p.entries for p in parts])
     return TransitionMatrix(np.tensordot(w, stack, axes=1))
 
 

@@ -66,15 +66,6 @@ def brute_force_kruskal(matrix, decimals=9):
     return kr
 
 
-def elementwise_frobenius(a, b):
-    a, b = np.asarray(a, float), np.asarray(b, float)
-    total = 0.0
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1]):
-            total += (a[i, j] - b[i, j]) ** 2
-    return total**0.5
-
-
 def truncated_normal_mean_mc(mean, sd, low, high, n=2_000_000, seed=123):
     """Monte-Carlo mean of a truncated normal, by plain rejection."""
     rng = np.random.default_rng(seed)

@@ -223,7 +223,7 @@ def test_criterion_11_feature_path_and_checker():
     T = TransitionMatrix([[0.85, 0.15], [0.25, 0.75]])
     prior = Prior([0.6, 0.4])
     tensor = exact_three_view_joint(prior, [A, B, T])
-    result = fit_three_view(tensor, K=2, seed=0)
+    result = fit_three_view(tensor, seed=0)
     rec_ok = (
         np.abs(result.scenario.T.entries - T.entries).max() < 1e-6
         and np.abs(result.feature_models[0].entries - A.entries).max() < 1e-6
@@ -244,7 +244,7 @@ def test_criterion_11_feature_path_and_checker():
         group = check_group_features(Tm, fm)
         # the group verdict uses the guaranteed bound Kr(T) + 2 d* >= 2K + d*;
         # it must never claim identifiability the raw sum condition rejects
-        stack = check_kruskal_sum(ObservationModel((Tm, *fm.models), K))
+        stack = check_kruskal_sum(ObservationModel((Tm, *fm.models)))
         if group.verdict == IDENTIFIABLE:
             agree &= stack.verdict == IDENTIFIABLE
     report(11, "feature-path exact recovery at 1e-6; group checker consistent "

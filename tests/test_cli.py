@@ -498,6 +498,44 @@ class TestNonFiniteMatrices:
             assert captured.out == "" and "non-finite entries" in captured.err
 
 
+_CELL = st.one_of(st.floats(), st.integers(), st.none(), st.booleans(), st.text(max_size=2))
+_MATRIX = st.lists(st.lists(_CELL, min_size=1, max_size=3), min_size=1, max_size=3)
+_JSON = st.recursive(
+    _CELL,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=10,
+)
+# any JSON document, biased towards matrices and objects holding one in T
+MATRIX_DOCS = st.one_of(_JSON, _MATRIX, st.fixed_dictionaries({"T": _MATRIX | _JSON}))
+
+
+class TestMatrixFileProperty:
+    """Any JSON document as a matrix file of `bound` or `estimate --truth`
+    exits 0 or 2, with no traceback, and an exit 2 names the file."""
+
+    @given(MATRIX_DOCS)
+    @example([[10**400, 0.5], [0.5, 0.5]])
+    @example({"T": [[0.5, 0.5], [0.5]]})
+    @example([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]])
+    @settings(max_examples=60, deadline=None)
+    def test_exits_0_or_2_naming_the_file(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            path = tmp / "m.json"
+            path.write_text(json.dumps(doc))
+            good = write(tmp, "good.json", [[0.9, 0.1], [0.3, 0.7]])
+            scenario = write(tmp, "s.json", {"K": 2, "T": [[0.9, 0.1], [0.3, 0.7]]})
+            for argv in (["bound", good, str(path), good],
+                         ["estimate", scenario, "--exact", "--restarts", "1",
+                          "--truth", str(path)]):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                assert code in (EXIT_OK, EXIT_VALIDATION), argv
+                if code == EXIT_VALIDATION:
+                    assert str(path) in err.getvalue(), argv
+
+
 class TestMalformedInput:
     """Malformed files exit 2 with a message naming the file, not a traceback."""
 
@@ -539,7 +577,16 @@ class TestMalformedInput:
              ["generate", "{path}", "-o", "{out}"], "'seed'"),
             ("inst_n.json",
              '{"K": 3, "noise_model": {"type": "instance", "eps": 0.2}, "n": -3}',
-             ["generate", "{path}", "-o", "{out}"], "'n': must be >= 0"),
+             ["generate", "{path}", "-o", "{out}"], "'n': must be >= 1, got -3"),
+            ("n_zero.json",
+             '{"K": 2, "T": [[0.9, 0.1], [0.3, 0.7]], "n": 0}',
+             ["generate", "{path}", "-o", "{out}"], "'n': must be >= 1, got 0"),
+            ("p_zero.json",
+             '{"K": 2, "T": [[0.9, 0.1], [0.3, 0.7]], "n": 10, "p": 0}',
+             ["generate", "{path}", "-o", "{out}"], "'p': must be >= 1, got 0"),
+            ("inst_p_zero.json",
+             '{"K": 3, "noise_model": {"type": "instance", "eps": 0.2}, "n": 10, "p": 0}',
+             ["generate", "{path}", "-o", "{out}"], "'p': must be >= 1, got 0"),
             ("inst_S.json",
              '{"K": 3, "noise_model": {"type": "instance", "eps": 0.2, "S": -2}, "n": 10}',
              ["generate", "{path}", "-o", "{out}"], "'noise_model.S': must be >= 0"),
@@ -576,20 +623,38 @@ class TestMalformedInput:
             ("cards_one.json",
              '{"K": 3, "features": {"d_star": 2, "cardinalities": [2, 1]}}',
              ["check", "{path}", "--mode", "generic"], "'features.cardinalities': must be >= 2"),
+            ("row_sum.json",
+             '{"K": 2, "T": [[0.9, 0.1], [0.3, 0.0]]}',
+             ["check", "{path}"], "row 1 sums to 0.3, not 1"),
+            ("prior_sum.json",
+             '{"K": 2, "prior": [0.6, 0.5], "T": [[0.9, 0.1], [0.3, 0.7]]}',
+             ["check", "{path}"], "prior sums to 1.1, not 1"),
+            ("eps_big.json",
+             '{"K": 3, "noise_model": {"type": "asymmetric", "eps": 1.5}}',
+             ["check", "{path}"], "eps must lie in [0, 1]"),
+            ("nan.json",
+             '[[NaN, 0.5], [0.5, 0.5]]',
+             ["bound", "{path}", "{good}", "{good}"], "non-finite entries"),
+            ("shape.json",
+             '[[1, 0, 0], [0, 1, 0], [0, 0, 1]]',
+             ["bound", "{good}", "{path}", "{good}"], "must share a shape"),
         ],
         ids=["missing-eps", "K-not-integer", "csv-cell", "csv-int64-overflow",
              "csv-header-only", "csv-not-utf8", "instance-p", "matrix-cell",
              "seed-word", "seed-negative", "seed-float", "instance-n-negative",
+             "n-zero", "p-zero", "instance-p-zero",
              "instance-S-negative", "noise-model-type-list", "K-n-p-float",
              "n-float", "p-float", "K-bool", "d-star-negative", "group-count-float",
              "min-kruskal-negative", "cardinalities-count-generic",
-             "cardinalities-count-group", "cardinality-below-2"],
+             "cardinalities-count-group", "cardinality-below-2", "T-row-sum",
+             "prior-sum", "asymmetric-eps", "bound-nan", "bound-shape"],
     )
     def test_exits_2_naming_the_file(self, tmp_path, name, text, argv, located):
         path = tmp_path / name
         # a lone surrogate in text stands for a byte that is not UTF-8
         path.write_bytes(text.encode(errors="surrogateescape"))
-        argv = [a.format(path=path, out=tmp_path / "out.csv") for a in argv]
+        good = write(tmp_path, "good.json", [[1, 0], [0, 1]])
+        argv = [a.format(path=path, out=tmp_path / "out.csv", good=good) for a in argv]
         self.assert_exits_2(argv, path, located)
 
     @pytest.mark.parametrize(

@@ -23,7 +23,6 @@ from noise_id.identifiability import (
     NOT_GUARANTEED,
     ObservationModel,
     check_kruskal_sum,
-    is_informative_feature,
 )
 from noise_id.matrices import ObsMatrix, Prior, Scenario, TransitionMatrix, kruskal_rank
 from noise_id.consensus import err_metric, estimate, exact_joint, fit
@@ -39,7 +38,7 @@ class TestGenFeatureModel:
 
     def test_all_informative(self):
         fm = gen_feature_model(3, 3, 3, min_kruskal=2, seed=1)
-        assert all(is_informative_feature(m) for m in fm.models)
+        assert all(kruskal_rank(m) >= 2 for m in fm.models)
 
     def test_determinism(self):
         a = gen_feature_model(3, 2, [2, 4], seed=7)
@@ -55,14 +54,10 @@ class TestGenFeatureModel:
         with pytest.raises(ValidationError):
             gen_feature_model(2, 1, 2, min_kruskal=3)
 
-    def test_feature_model_dimension_check(self):
-        with pytest.raises(DimensionError):
-            ObservationModel((np.eye(2),), K=3)
-
 
 class TestSampleWithFeatures:
     def test_identity_features_reveal_hidden_state(self):
-        fm = ObservationModel((np.eye(2), np.eye(2)), K=2)
+        fm = ObservationModel((np.eye(2), np.eye(2)))
         ds = sample_with_features(Prior([0.4, 0.6]), None, fm, n=300, seed=0)
         assert (ds.r == ds.y[:, None]).all()
         assert ds.noisy.shape == (300, 0)
@@ -101,7 +96,7 @@ class TestSampleWithFeatures:
 class TestFeatureStack:
     def test_full_rank_T_plus_three_features_identifiable(self):
         fm = gen_feature_model(3, 3, 4, min_kruskal=3, seed=2)
-        obs = ObservationModel((asymmetric_T(3, 0.3), *fm.models), fm.K)
+        obs = ObservationModel((asymmetric_T(3, 0.3), *fm.models))
         assert check_kruskal_sum(obs).verdict == IDENTIFIABLE
 
     def test_single_feature_not_guaranteed(self):
@@ -111,7 +106,7 @@ class TestFeatureStack:
     def test_ordering(self):
         fm = gen_feature_model(2, 2, 2, seed=0)
         T = asymmetric_T(2, 0.2)
-        obs = ObservationModel((T, *fm.models), fm.K)
+        obs = ObservationModel((T, *fm.models))
         assert obs.p == 3
         np.testing.assert_array_equal(obs.models[0].entries, T.entries)
 
@@ -127,7 +122,7 @@ class TestGroupMetaFeatures:
         a = ObsMatrix([[0.9, 0.1], [0.2, 0.8]])
         b = ObsMatrix([[0.7, 0.3], [0.4, 0.6]])
         c = ObsMatrix([[0.5, 0.5], [0.5, 0.5]])
-        fm = ObservationModel((a, b, c), K=2)
+        fm = ObservationModel((a, b, c))
         m1, _ = group_meta_features(fm, ([0, 1], [2]))
         assert m1.kappa == 4
         for j in range(2):
@@ -163,7 +158,7 @@ class TestFitThreeView:
         T = TransitionMatrix([[0.85, 0.15], [0.25, 0.75]])
         prior = Prior([0.6, 0.4])
         tensor = exact_three_view_joint(prior, [A, B, T])
-        result = fit_three_view(tensor, K=2, seed=0)
+        result = fit_three_view(tensor, seed=0)
         assert result.converged and result.residual <= 1e-8
         assert np.abs(result.scenario.T.entries - T.entries).max() < 1e-6
         assert np.abs(result.scenario.prior.weights - prior.weights).max() < 1e-6
@@ -175,7 +170,7 @@ class TestFitThreeView:
         B = ObsMatrix([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]])
         T = TransitionMatrix([[1.0, 0.0], [0.25, 0.75]])
         tensor = exact_three_view_joint(Prior([0.6, 0.4]), [A, B, T])
-        result = fit_three_view(tensor, K=2, seed=0)
+        result = fit_three_view(tensor, seed=0)
         assert result.converged and result.restarts_used == 1
         assert np.abs(result.scenario.T.entries - T.entries).max() < 1e-9
 
@@ -186,7 +181,7 @@ class TestFitThreeView:
         # rank-one features collapse the tensor, so many parameter points fit
         # it exactly; the solver matches the tensor but cannot single out the
         # generating T
-        result = fit_three_view(tensor, K=2, restarts=5, seed=0)
+        result = fit_three_view(tensor, restarts=5, seed=0)
         assert result.residual <= 1e-8
         err = np.abs(result.scenario.T.entries - T.entries).max()
         assert err > 1e-3
@@ -196,7 +191,7 @@ class TestFitThreeView:
         # noise of 1e6 records, so every restart runs and none is accepted
         tensor = np.random.default_rng(0).dirichlet(np.ones(18)).reshape(3, 3, 2)
         with pytest.warns(ConvergenceWarning, match="fit did not reach residual"):
-            result = fit_three_view(tensor, K=2, restarts=2, seed=0, n=1e6)
+            result = fit_three_view(tensor, restarts=2, seed=0, n=1e6)
         assert result.converged is False
         assert result.restarts_used == 2
         assert len(result.per_restart_residuals) == 2
@@ -209,7 +204,7 @@ class TestFitThreeView:
         w = rng.dirichlet(np.full(K, 4.0))
         T = 0.5 * np.eye(K) + 0.5 * rng.dirichlet(np.ones(K), size=K)
         joint = exact_joint(Scenario(T=TransitionMatrix(T), prior=Prior(w)), 3)
-        general = fit_three_view(joint, K, restarts=1, seed=0)
+        general = fit_three_view(joint, restarts=1, seed=0)
         tied = estimate(joint, restarts=1, seed=0)
         assert general.converged and tied.converged
         for got in (general.scenario.T.entries, *(m.entries for m in general.feature_models)):
@@ -221,19 +216,15 @@ class TestFitThreeView:
 
     def test_tied_fit_has_no_feature_models(self):
         s = Scenario(T=asymmetric_T(2, 0.2), prior=Prior([0.6, 0.4]))
-        result = fit(exact_joint(s, 3), 2, (2,), restarts=1)
+        result = fit(exact_joint(s, 3), tied=True, restarts=1)
         assert result.converged and result.feature_models == ()
-
-    def test_third_axis_must_be_K(self):
-        with pytest.raises(ValidationError):
-            fit_three_view(np.full((2, 2, 3), 1 / 12), K=2)
 
     def test_K_above_align_cap_refused_before_the_fit(self):
         K = 11
         tensor = np.full((2, 2, K), 1 / (4 * K))
         t0 = time.perf_counter()
         with pytest.raises(CapabilityError, match="MAX_ALIGN_K"):
-            fit_three_view(tensor, K=K, restarts=1)
+            fit_three_view(tensor, restarts=1)
         assert time.perf_counter() - t0 < 1.0
 
     def test_success_rate_on_random_identifiable_configs(self):
@@ -254,7 +245,7 @@ class TestFitThreeView:
                 continue
             w = rng.uniform(0.1, 0.9)
             tensor = exact_three_view_joint(Prior([w, 1 - w]), [A, B, T])
-            result = fit_three_view(tensor, K=K, seed=t)
+            result = fit_three_view(tensor, seed=t)
             if result.residual <= 1e-8:
                 ok += 1
         assert ok >= int(trials * 0.95)
@@ -289,7 +280,7 @@ class TestFeatureRecovery:
 
     def test_sampled_recovery(self):
         _, T, ds = self._dataset(300_000, 1)
-        result = fit_three_view(empirical_three_view(ds), K=2, seed=0, n=ds.n)
+        result = fit_three_view(empirical_three_view(ds), seed=0, n=ds.n)
         err = err_metric(
             result.scenario.T.entries, T.entries, permutation_invariant=True
         )
@@ -318,7 +309,7 @@ class TestFeatureRecovery:
         truth = np.linalg.norm(
             exact_three_view_joint(w, [*fm.models, T]) - empirical_three_view(ds)
         )
-        result = fit_three_view(empirical_three_view(ds), 3, seed=0, n=ds.n)
+        result = fit_three_view(empirical_three_view(ds), seed=0, n=ds.n)
         assert result.converged
         assert result.residual <= truth
         assert result.restarts_used == restarts_used

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from noise_id.errors import ValidationError
+from noise_id.errors import DimensionError, ValidationError
 from noise_id.identifiability import (
     IDENTIFIABLE,
     NOT_GUARANTEED,
@@ -15,10 +15,9 @@ from noise_id.identifiability import (
     check_instance_three_labels,
     check_kruskal_sum,
     check_unknown_groups,
-    is_informative_feature,
     is_informative_label,
 )
-from noise_id.matrices import ObsMatrix, TransitionMatrix
+from noise_id.matrices import TransitionMatrix
 
 from .oracles import brute_force_generic_split, brute_force_kruskal
 
@@ -34,31 +33,34 @@ def random_full_rank_T(rng, K):
 
 
 class TestReport:
-    def test_verdict_must_match_inequality(self):
-        with pytest.raises(ValidationError):
-            IdentifiabilityReport("x", 3, 5, (), IDENTIFIABLE)
-        r = IdentifiabilityReport("x", 5, 5, (), IDENTIFIABLE)
-        assert r.to_dict()["verdict"] == IDENTIFIABLE
+    def test_verdict_is_the_inequality(self):
+        assert IdentifiabilityReport("x", 3, 5, ()).verdict == NOT_GUARANTEED
+        r = IdentifiabilityReport("x", 5, 5, ())
+        assert r.verdict == r.to_dict()["verdict"] == IDENTIFIABLE
 
     def test_observation_model_rejects_mixed_K(self):
-        with pytest.raises(Exception):
-            ObservationModel((np.eye(2), np.eye(3)), 2)
+        with pytest.raises(DimensionError, match=r"share one row count, got \[2, 3\]"):
+            ObservationModel((np.eye(2), np.eye(3)))
+
+    def test_observation_model_K_is_the_row_count(self):
+        obs = ObservationModel((np.full((3, 2), 0.5), np.eye(3)))
+        assert (obs.K, obs.p, obs.cardinalities) == (3, 2, (2, 3))
 
 
 class TestKruskalSum:
     def test_three_full_rank_K4(self):
         T = np.eye(4) * 0.6 + 0.1
-        r = check_kruskal_sum(ObservationModel((T, T, T), 4))
+        r = check_kruskal_sum(ObservationModel((T, T, T)))
         assert (r.lhs, r.rhs, r.verdict) == (12, 10, IDENTIFIABLE)
 
     def test_two_labels_never_suffice(self):
         r = check_kruskal_sum(
-            ObservationModel((FULL_RANK_2.entries, FULL_RANK_2.entries), 2)
+            ObservationModel((FULL_RANK_2.entries, FULL_RANK_2.entries))
         )
         assert (r.lhs, r.rhs, r.verdict) == (4, 5, NOT_GUARANTEED)
 
     def test_single_observation(self):
-        r = check_kruskal_sum(ObservationModel((np.eye(2),), 2))
+        r = check_kruskal_sum(ObservationModel((np.eye(2),)))
         # 2K + p - 1 = 4 + 1 - 1 = 4
         assert (r.lhs, r.rhs, r.verdict) == (2, 4, NOT_GUARANTEED)
         assert "sufficient" in r.notes
@@ -73,6 +75,19 @@ class TestInformativeLabel:
 
     def test_adjacent_flip(self):
         assert is_informative_label(ADJACENT_3)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("deficient", [False, True])
+    def test_matches_brute_force_oracle(self, seed, deficient):
+        # a square T is full rank exactly when its Kruskal rank is K
+        rng = np.random.default_rng(seed)
+        K = int(rng.integers(2, 6))
+        T = np.round(rng.dirichlet(np.ones(K), size=K), 6)
+        if deficient:
+            T[-1] = T[0]
+        T[:, -1] = 1.0 - T[:, :-1].sum(axis=1)
+        informative = is_informative_label(TransitionMatrix(T))
+        assert informative == (brute_force_kruskal(T) == K) == (not deficient)
 
 
 class TestInstanceThreeLabels:
@@ -100,7 +115,7 @@ class TestInstanceThreeLabels:
             # the last row repeats row 0, or mixes rows 0 and 1 (K >= 3)
             T[-1] = T[0] if seed < 5 or K == 2 else (T[0] + T[1]) / 2
         a = check_instance_three_labels(TransitionMatrix(T))
-        b = check_kruskal_sum(ObservationModel((T,) * 3, K))
+        b = check_kruskal_sum(ObservationModel((T,) * 3))
         assert (a.lhs, a.rhs, a.verdict) == (b.lhs, b.rhs, b.verdict)
         assert a.verdict == (NOT_GUARANTEED if deficient else IDENTIFIABLE)
 
@@ -110,33 +125,16 @@ class TestInstanceThreeLabels:
         for _ in range(10):
             K = int(rng.integers(2, 4))
             mats = [rng.dirichlet(np.ones(K), size=K) for _ in range(3)]
-            base = check_kruskal_sum(ObservationModel(tuple(mats), K))
+            base = check_kruskal_sum(ObservationModel(tuple(mats)))
             extra = rng.dirichlet(np.ones(K), size=K)
-            bigger = check_kruskal_sum(ObservationModel(tuple(mats) + (extra,), K))
+            bigger = check_kruskal_sum(ObservationModel(tuple(mats) + (extra,)))
             if base.verdict == IDENTIFIABLE:
                 assert bigger.verdict == IDENTIFIABLE
 
 
-class TestInformativeFeature:
-    def test_equal_rows(self):
-        assert not is_informative_feature(ObsMatrix([[0.5, 0.5], [0.5, 0.5]]))
-
-    def test_identity(self):
-        assert is_informative_feature(ObsMatrix(np.eye(2)))
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_brute_force_oracle(self, seed):
-        rng = np.random.default_rng(seed)
-        M = np.round(rng.dirichlet(np.ones(3), size=3), 6)
-        M[:, -1] = 1.0 - M[:, :-1].sum(axis=1)
-        assert is_informative_feature(ObsMatrix(M)) == (brute_force_kruskal(M) >= 2)
-
-
 class TestGroupFeatures:
     def _features(self, rng, K, d):
-        return ObservationModel(
-            tuple(rng.dirichlet(np.ones(K), size=K) for _ in range(d)), K
-        )
+        return ObservationModel(tuple(rng.dirichlet(np.ones(K), size=K) for _ in range(d)))
 
     def test_dstar_equals_K_identifiable(self):
         rng = np.random.default_rng(1)
@@ -151,7 +149,7 @@ class TestGroupFeatures:
 
     def test_uninformative_feature_not_counted(self):
         flat = np.full((2, 2), 0.5)
-        feats = ObservationModel((np.eye(2), flat), 2)
+        feats = ObservationModel((np.eye(2), flat))
         r = check_group_features(FULL_RANK_2, feats)
         assert "d* = 1" in r.notes
         assert r.verdict == NOT_GUARANTEED

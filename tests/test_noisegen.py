@@ -4,7 +4,6 @@ import pytest
 from noise_id.errors import ValidationError
 from noise_id.matrices import Prior, TransitionMatrix
 from noise_id.noisegen import (
-    PartModel,
     UnstructuredParams,
     asymmetric_T,
     check_2nn,
@@ -148,26 +147,35 @@ class TestInstanceNoise:
 
 class TestPartDependent:
     def test_one_hot_returns_part(self):
-        parts = PartModel((np.eye(2), np.full((2, 2), 0.5)))
-        T = part_dependent_T([0.0, 1.0], parts)
+        T = part_dependent_T([0.0, 1.0], (np.eye(2), np.full((2, 2), 0.5)))
         np.testing.assert_allclose(T.entries, 0.5)
 
     def test_equal_weights_average(self):
-        parts = PartModel((np.eye(2), np.full((2, 2), 0.5)))
-        T = part_dependent_T([0.5, 0.5], parts)
+        T = part_dependent_T([0.5, 0.5], (np.eye(2), np.full((2, 2), 0.5)))
         np.testing.assert_allclose(T.entries, [[0.75, 0.25], [0.25, 0.75]])
 
     def test_rows_stay_stochastic(self):
         rng = np.random.default_rng(0)
-        parts = PartModel(tuple(rng.dirichlet(np.ones(3), size=3) for _ in range(4)))
+        parts = [rng.dirichlet(np.ones(3), size=3) for _ in range(4)]
         w = rng.dirichlet(np.ones(4))
         T = part_dependent_T(w, parts)
         np.testing.assert_allclose(T.entries.sum(axis=1), 1.0, atol=1e-12)
 
     def test_off_simplex_rejected(self):
-        parts = PartModel((np.eye(2),))
         with pytest.raises(ValidationError):
-            part_dependent_T([1.1], parts)
+            part_dependent_T([1.1], (np.eye(2),))
+
+    @pytest.mark.parametrize(
+        "weights, parts, message",
+        [([], (), "at least one part"),
+         ([0.5, 0.5], (np.eye(2), np.eye(3)), "share K"),
+         ([1.0], (np.eye(2), np.eye(2)), "length 2"),
+         ([1.0], ([[0.5, 0.4], [0.5, 0.5]],), "row 0 sums to 0.9")],
+        ids=["no-parts", "mixed-K", "weights-length", "part-not-stochastic"],
+    )
+    def test_bad_parts_rejected(self, weights, parts, message):
+        with pytest.raises(ValidationError, match=message):
+            part_dependent_T(weights, parts)
 
 
 def one_hot_params(npts=5, K=2, N=500, eps_close=0.0):
