@@ -297,14 +297,13 @@ def cmd_generate(args) -> int:
         rng = np.random.default_rng(seed)
         S = sf.S
         x = rng.standard_normal((n, S))
-        y0 = noisegen._sample_rows(
+        y = noisegen._sample_rows(
             rng, sf.prior.weights[None, :], np.zeros(n, dtype=np.int64), 1
         )[:, 0]
-        noisy, pvec = noisegen.instance_noise(
-            x, y0 + 1, sf.eps, sf.K, (seed, 1)
-        )
+        y += 1
+        noisy, pvec = noisegen.instance_noise(x, y, sf.eps, sf.K, (seed, 1))
         ds = NoisyDataset(
-            y=y0 + 1,
+            y=y,
             noisy=noisy,
             K=sf.K,
             x=x,

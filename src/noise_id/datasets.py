@@ -4,7 +4,8 @@ Labels are stored 1-based (classes 1..K) both in memory and on disk. The CSV
 layout is: continuous feature columns ``x_1..x_S``, categorical feature
 columns ``r_1..r_d``, clean label ``y``, then noisy labels
 ``ytilde_1..ytilde_p``. Provenance (generating model, seed, parameters) goes
-to a JSON sidecar next to the CSV.
+to a JSON sidecar next to the CSV. Files are written ``ROW_BLOCK`` records at
+a time, so the memory that writing takes does not grow with the record count.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
+
+# records per block when a dataset is written or its labels are sampled
+ROW_BLOCK = 4096
 
 
 @dataclass
@@ -65,21 +69,25 @@ class NoisyDataset:
     def to_csv(self, path) -> None:
         path = Path(path)
         header = []
-        cols = []
         if self.x is not None:
             header += [f"x_{i+1}" for i in range(self.x.shape[1])]
-            cols += [[repr(v) for v in col] for col in self.x.T.tolist()]
         if self.r is not None:
             header += [f"r_{i+1}" for i in range(self.r.shape[1])]
         header.append("y")
         header += [f"ytilde_{i+1}" for i in range(self.p)]
-        for block in (self.r, self.y[:, None], self.noisy):
-            if block is not None:
-                cols += [_int_text(col) for col in block.T]
-        lines = [",".join(header), *map(",".join, zip(*cols)), ""]
-        path.write_bytes("\r\n".join(lines).encode())
+        blocks = [
+            b for b in (self.x, self.r, self.y[:, None], self.noisy)
+            if b is not None and b.shape[1]
+        ]
         sidecar = path.with_suffix(path.suffix + ".provenance.json")
-        sidecar.write_text(json.dumps(self.provenance, indent=2, sort_keys=True))
+        try:
+            with path.open("w", newline="") as fh:
+                fh.write(",".join(header) + "\r\n")
+                for lo in range(0, self.n, ROW_BLOCK):
+                    fh.write(_lines([b[lo : lo + ROW_BLOCK] for b in blocks]))
+            sidecar.write_text(json.dumps(self.provenance, indent=2, sort_keys=True))
+        except OSError as e:
+            raise ValidationError(f"{e.filename or path}: cannot write: {e.strerror}") from None
 
     @classmethod
     def from_csv(cls, path) -> "NoisyDataset":
@@ -94,6 +102,8 @@ class NoisyDataset:
                 has_records = any(line.strip("\r\n") for line in fh)
         except FileNotFoundError:
             raise ValidationError(f"{path}: no such file") from None
+        except OSError as e:
+            raise ValidationError(f"{path}: cannot read: {e.strerror}") from None
         except UnicodeDecodeError:
             raise ValidationError(_bad_cell(path)) from None
         if "y" not in header:
@@ -131,18 +141,37 @@ class NoisyDataset:
 
 
 def _read_json(path):
-    """The parsed JSON document at path; a missing file or invalid JSON
-    raises ValidationError naming the file (and the line)."""
+    """The parsed JSON document at path; a file that cannot be read, text
+    that is not UTF-8 or invalid JSON raises ValidationError naming the file
+    (and the line)."""
     try:
         return json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ValidationError(f"{path}: no such file") from None
+    except OSError as e:
+        raise ValidationError(f"{path}: cannot read: {e.strerror}") from None
+    except UnicodeDecodeError:
+        raise ValidationError(f"{path}: text that is not UTF-8") from None
     except json.JSONDecodeError as e:
         raise ValidationError(f"{path}:{e.lineno}: invalid JSON: {e.msg}") from None
 
 
+def _lines(blocks) -> str:
+    """The CSV text of some records, each line ended by CRLF, given their
+    cells as column blocks: floats are written as their repr, integers in
+    decimal."""
+    cols = []
+    for b in blocks:
+        if b.dtype == np.float64:
+            cols.append([",".join(map(repr, row)) for row in b.tolist()])
+        else:
+            cols += [_int_text(col) for col in b.T]
+    return "\r\n".join([*map(",".join, zip(*cols)), ""])
+
+
 def _int_text(col) -> list:
-    """The decimal text of each integer in col, made once per distinct value."""
+    """The decimal text of each integer in col, made once per distinct value
+    in col (to_csv passes one block of rows at a time)."""
     values, index = np.unique(col, return_inverse=True)
     return np.array([str(v) for v in values.tolist()], dtype=object)[index].tolist()
 

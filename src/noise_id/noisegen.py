@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import NoisyDataset
+from .datasets import ROW_BLOCK, NoisyDataset
 from .errors import ValidationError
 from .matrices import Prior, TransitionMatrix
 
@@ -35,11 +35,17 @@ def asymmetric_T(K: int, eps: float) -> TransitionMatrix:
 def _sample_rows(rng, probs: np.ndarray, which: np.ndarray, draws: int) -> np.ndarray:
     """Sample `draws` categorical outcomes per record from probs[which[i]].
 
-    Returns 0-based outcomes with shape (len(which), draws).
+    Returns 0-based outcomes with shape (len(which), draws). The uniforms are
+    drawn ROW_BLOCK records at a time, which gives the same stream as one
+    draw of them all.
     """
     cum = np.cumsum(probs, axis=1)
-    u = rng.random((which.shape[0], draws))
-    return (u[:, :, None] > cum[which][:, None, :]).sum(axis=2)
+    out = np.empty((which.shape[0], draws), dtype=np.int64)
+    for lo in range(0, which.shape[0], ROW_BLOCK):
+        w = which[lo : lo + ROW_BLOCK]
+        u = rng.random((w.shape[0], draws))
+        out[lo : lo + ROW_BLOCK] = (u[:, :, None] > cum[w][:, None, :]).sum(axis=2)
+    return out
 
 
 def sample_iid_noisy(
@@ -53,8 +59,10 @@ def sample_iid_noisy(
         raise ValidationError("prior and T disagree on K")
     rng = np.random.default_rng(seed)
     K = T.K
-    y0 = _sample_rows(rng, prior.weights[None, :], np.zeros(n, dtype=np.int64), 1)[:, 0]
-    noisy0 = _sample_rows(rng, T.entries, y0, p)
+    y = _sample_rows(rng, prior.weights[None, :], np.zeros(n, dtype=np.int64), 1)[:, 0]
+    noisy = _sample_rows(rng, T.entries, y, p)
+    y += 1
+    noisy += 1
     provenance = {
         "model": "iid",
         "K": K,
@@ -64,7 +72,7 @@ def sample_iid_noisy(
         "prior": prior.weights.tolist(),
         "T": T.entries.tolist(),
     }
-    return NoisyDataset(y=y0 + 1, noisy=noisy0 + 1, K=K, provenance=provenance)
+    return NoisyDataset(y=y, noisy=noisy, K=K, provenance=provenance)
 
 
 def sample_truncated_normal(rng, mean: float, sd: float, low: float, high: float, size: int):
@@ -116,8 +124,9 @@ def instance_noise(features, clean, eps: float, K: int, seed):
     soft = e / e.sum(axis=1, keepdims=True)
     pvec = q[:, None] * soft
     pvec[np.arange(n), y0] = 1.0 - q
-    noisy0 = _sample_rows(rng, pvec, np.arange(n), 1)[:, 0]
-    return noisy0 + 1, pvec
+    noisy = _sample_rows(rng, pvec, np.arange(n), 1)[:, 0]
+    noisy += 1
+    return noisy, pvec
 
 
 def part_dependent_T(weights, parts) -> TransitionMatrix:

@@ -5,8 +5,9 @@ arithmetic for rank decisions, direct elementwise sums for norms, plain
 Monte Carlo for distribution summaries, scalar loops for the solver's
 residual and Jacobian, outer products for the latent-class tensor, loops
 over every axis order or feature split where the library uses polynomial
-shortcuts, the csv module, one row at a time, for dataset files, and a
-grid search for the two-label witness that the library gives in closed form.
+shortcuts, the csv module, one row at a time, for dataset files, one draw of
+every uniform where the sampler draws them in blocks, and a grid search for
+the two-label witness that the library gives in closed form.
 """
 
 import csv
@@ -319,6 +320,14 @@ def _gen_residual_jac(theta, target, K, k1, k2, k3):
                     )
                 J[i, off + y * k3 + c] = acc
     return r, J
+
+
+def one_shot_sample_rows(rng, probs, which, draws):
+    """`draws` 0-based categorical outcomes per record from probs[which[i]],
+    with every uniform taken in one rng.random call."""
+    cum = np.cumsum(probs, axis=1)
+    u = rng.random((which.shape[0], draws))
+    return (u[:, :, None] > cum[which][:, None, :]).sum(axis=2)
 
 
 def rowwise_to_csv(ds, path):

@@ -638,6 +638,9 @@ class TestMalformedInput:
             ("shape.json",
              '[[1, 0, 0], [0, 1, 0], [0, 0, 1]]',
              ["bound", "{good}", "{path}", "{good}"], "must share a shape"),
+            ("utf8.json",
+             '[[1, 0], [0, 1]]\udcff',
+             ["bound", "{path}", "{good}", "{good}"], "text that is not UTF-8"),
         ],
         ids=["missing-eps", "K-not-integer", "csv-cell", "csv-int64-overflow",
              "csv-header-only", "csv-not-utf8", "instance-p", "matrix-cell",
@@ -647,7 +650,7 @@ class TestMalformedInput:
              "n-float", "p-float", "K-bool", "d-star-negative", "group-count-float",
              "min-kruskal-negative", "cardinalities-count-generic",
              "cardinalities-count-group", "cardinality-below-2", "T-row-sum",
-             "prior-sum", "asymmetric-eps", "bound-nan", "bound-shape"],
+             "prior-sum", "asymmetric-eps", "bound-nan", "bound-shape", "json-not-utf8"],
     )
     def test_exits_2_naming_the_file(self, tmp_path, name, text, argv, located):
         path = tmp_path / name
@@ -656,6 +659,20 @@ class TestMalformedInput:
         good = write(tmp_path, "good.json", [[1, 0], [0, 1]])
         argv = [a.format(path=path, out=tmp_path / "out.csv", good=good) for a in argv]
         self.assert_exits_2(argv, path, located)
+
+    @pytest.mark.parametrize(
+        "argv, named, located",
+        [(["bound", "{dir}", "{good}", "{good}"], "{dir}", "cannot read: Is a directory"),
+         (["estimate", "{dir}"], "{dir}", "cannot read: Is a directory"),
+         (["generate", "{good}", "-o", "{dir}"], "{dir}", "cannot write: Is a directory"),
+         (["generate", "{good}", "-o", "{dir}/missing/d.csv"], "{dir}/missing/d.csv",
+          "cannot write: No such file or directory")],
+        ids=["json-directory", "csv-directory", "out-directory", "out-missing-directory"],
+    )
+    def test_unusable_path_exits_2(self, tmp_path, argv, named, located):
+        good = write(tmp_path, "good.json", {"K": 2, "T": [[0.9, 0.1], [0.3, 0.7]], "n": 10})
+        argv = [a.format(dir=tmp_path, good=good) for a in argv]
+        self.assert_exits_2(argv, named.format(dir=tmp_path), located)
 
     @pytest.mark.parametrize(
         "text, located",

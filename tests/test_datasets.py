@@ -1,12 +1,13 @@
 import io
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from noise_id.datasets import NoisyDataset
+from noise_id.datasets import ROW_BLOCK, NoisyDataset
 from noise_id.errors import ValidationError
 from noise_id.matrices import Prior
 from noise_id.noisegen import asymmetric_T, sample_iid_noisy
@@ -111,8 +112,11 @@ class TestCsvOracle:
 
     @pytest.mark.parametrize(
         "n, K, p, S, d",
-        [(40, 2, 3, 3, 2), (60, 12, 5, 0, 0), (30, 3, 1, 2, 0), (1, 2, 1, 3, 2), (1, 12, 5, 0, 1)],
-        ids=["x-and-r", "K12-p5", "p1", "n1", "n1-K12"],
+        [(40, 2, 3, 3, 2), (60, 12, 5, 0, 0), (30, 3, 1, 2, 0), (1, 2, 1, 3, 2), (1, 12, 5, 0, 1),
+         (ROW_BLOCK - 1, 3, 3, 2, 2), (ROW_BLOCK, 3, 3, 2, 2), (ROW_BLOCK + 1, 3, 3, 2, 2),
+         (2 * ROW_BLOCK + 1, 12, 2, 1, 1)],
+        ids=["x-and-r", "K12-p5", "p1", "n1", "n1-K12",
+             "block-minus-1", "block", "block-plus-1", "two-blocks-plus-1"],
     )
     def test_matches_rowwise_oracle(self, tmp_path, n, K, p, S, d):
         ds = seeded_ds(n, K, p, S, d)
@@ -137,11 +141,54 @@ class TestCsvOracle:
         back = NoisyDataset.from_csv(path)
         np.testing.assert_array_equal(np.column_stack([back.y, back.noisy]), rows)
 
+    def test_no_float_columns_add_no_cells(self, tmp_path):
+        ds = NoisyDataset(
+            y=[1, 2, 1], noisy=[[2], [2], [1]], K=2, provenance={"model": "m"},
+            x=np.zeros((3, 0)), r=[[1], [3], [2]],
+        )
+        ours, oracle = tmp_path / "ours.csv", tmp_path / "oracle.csv"
+        ds.to_csv(ours)
+        rowwise_to_csv(ds, oracle)
+        assert ours.read_bytes() == oracle.read_bytes()
+
     def test_hash_line_is_a_bad_cell_not_a_comment(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("y,ytilde_1\n1,2\n# note\n2,1\n")
         with pytest.raises(ValidationError, match=":3: column 'y'"):
             NoisyDataset.from_csv(path)
+
+
+def traced_peak_mb(fn, *args):
+    """The peak of the memory that tracemalloc traces while fn(*args) runs, in MB."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestCsvMemory:
+    """to_csv builds the text of one block of ROW_BLOCK records at a time, so
+    its peak allocation does not grow with the record count."""
+
+    def test_integer_columns(self, tmp_path):
+        n = 200_000
+        rng = np.random.default_rng(0)
+        ds = NoisyDataset(
+            y=rng.integers(1, 3, n), noisy=rng.integers(1, 3, (n, 3)), K=2,
+            provenance={"model": "m"},
+        )
+        assert traced_peak_mb(ds.to_csv, tmp_path / "d.csv") < 4
+
+    def test_float_columns(self, tmp_path):
+        n = 20_000
+        rng = np.random.default_rng(0)
+        ds = NoisyDataset(
+            y=rng.integers(1, 4, n), noisy=rng.integers(1, 4, (n, 1)), K=3,
+            provenance={"model": "m"}, x=rng.standard_normal((n, 10)),
+        )
+        assert traced_peak_mb(ds.to_csv, tmp_path / "d.csv") < 4
 
 
 ALPHABET = '0123456789,"\r\n -+.e#x_'

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from noise_id.datasets import ROW_BLOCK
 from noise_id.errors import ValidationError
 from noise_id.matrices import Prior, TransitionMatrix
 from noise_id.noisegen import (
     UnstructuredParams,
+    _sample_rows,
     asymmetric_T,
     check_2nn,
     instance_noise,
@@ -15,7 +17,7 @@ from noise_id.noisegen import (
     unstructured_process,
 )
 
-from .oracles import truncated_normal_mean_mc
+from .oracles import one_shot_sample_rows, truncated_normal_mean_mc
 
 
 class TestAsymmetricT:
@@ -38,6 +40,32 @@ class TestAsymmetricT:
             asymmetric_T(3, 1.5)
         with pytest.raises(ValidationError):
             asymmetric_T(1, 0.1)
+
+
+class TestSampleRows:
+    """The sampler draws its uniforms ROW_BLOCK records at a time; outcomes
+    and the generator's state after must match one draw of them all."""
+
+    @pytest.mark.parametrize("draws", [1, 3])
+    @pytest.mark.parametrize("n", [1, ROW_BLOCK, 3 * ROW_BLOCK + 5])
+    def test_matches_one_shot_oracle(self, n, draws):
+        probs = np.random.default_rng(1).dirichlet(np.ones(4), size=5)
+        which = np.random.default_rng(2).integers(0, 5, n)
+        ours, oracle = np.random.default_rng(3), np.random.default_rng(3)
+        got = _sample_rows(ours, probs, which, draws)
+        want = one_shot_sample_rows(oracle, probs, which, draws)
+        assert got.dtype == want.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+        assert ours.random() == oracle.random()
+
+    def test_iid_dataset_matches_one_shot_oracle(self):
+        prior, T, n, p = Prior([0.3, 0.5, 0.2]), asymmetric_T(3, 0.25), 2 * ROW_BLOCK + 7, 3
+        ds = sample_iid_noisy(prior, T, p, n, seed=4)
+        rng = np.random.default_rng(4)
+        y0 = one_shot_sample_rows(rng, prior.weights[None, :], np.zeros(n, dtype=np.int64), 1)[:, 0]
+        noisy0 = one_shot_sample_rows(rng, T.entries, y0, p)
+        np.testing.assert_array_equal(ds.y, y0 + 1)
+        np.testing.assert_array_equal(ds.noisy, noisy0 + 1)
 
 
 class TestSampleIidNoisy:
