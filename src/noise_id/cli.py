@@ -179,6 +179,14 @@ class ScenarioFile:
                 raise ValidationError("groups must be a JSON object")
             self.group_count = _field(self.groups, "count", _int_at_least(1), section="groups")
 
+    def feature_model(self, seed) -> identifiability.ObservationModel:
+        """The feature matrices of the `features` section, drawn from seed;
+        `check --mode group` and `generate` draw the same ones."""
+        with _located(self.path):
+            return features.gen_feature_model(
+                self.K, self.d_star, self.cardinalities, self.min_kruskal, seed=seed
+            )
+
     def scenario(self) -> Scenario:
         if self.T is None:
             raise ValidationError(f"{self.path}: no transition matrix available")
@@ -207,7 +215,7 @@ def emit(report: dict, args) -> None:
         report = dict(report)
         report["timestamp"] = datetime.datetime.now().isoformat(timespec="seconds")
     if getattr(args, "json", False):
-        print(json.dumps(report, indent=2, sort_keys=True, default=_jsonify))
+        print(json.dumps(report, indent=2, sort_keys=True))
     else:
         for key, value in report.items():
             if isinstance(value, (list, tuple)) and value and isinstance(value[0], (list, tuple)):
@@ -224,16 +232,6 @@ def _fmt(v):
     if isinstance(v, (list, tuple)):
         return "[" + ", ".join(_fmt(x) for x in v) + "]"
     return str(v)
-
-
-def _jsonify(v):
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    raise TypeError(f"not JSON serializable: {type(v)}")
 
 
 def _require_seed(args, sf: ScenarioFile | None = None):
@@ -259,13 +257,7 @@ def cmd_check(args) -> int:
     elif mode == "group":
         if sf.features is None:
             raise ValidationError("group mode requires a 'features' section")
-        fm = features.gen_feature_model(
-            sf.K,
-            sf.d_star,
-            sf.cardinalities,
-            sf.min_kruskal,
-            seed=_require_seed(args, sf),
-        )
+        fm = sf.feature_model(_require_seed(args, sf))
         report = identifiability.check_group_features(sf.scenario().T, fm)
     elif mode == "unknown-groups":
         if sf.features is None or sf.groups is None:
@@ -294,13 +286,11 @@ def cmd_generate(args) -> int:
                 f"{sf.path}: field 'p': an instance scenario draws one noisy "
                 f"label per record, got p={sf.p}"
             )
+        if sf.features is not None:
+            raise ValidationError(f"{sf.path}: field 'features': an instance scenario draws none")
         rng = np.random.default_rng(seed)
-        S = sf.S
-        x = rng.standard_normal((n, S))
-        y = noisegen._sample_rows(
-            rng, sf.prior.weights[None, :], np.zeros(n, dtype=np.int64), 1
-        )[:, 0]
-        y += 1
+        x = rng.standard_normal((n, sf.S))
+        y, _ = noisegen.sample_views(sf.prior, [], n, rng)
         noisy, pvec = noisegen.instance_noise(x, y, sf.eps, sf.K, (seed, 1))
         ds = NoisyDataset(
             y=y,
@@ -310,7 +300,7 @@ def cmd_generate(args) -> int:
             provenance={
                 "model": "instance",
                 "eps": sf.eps,
-                "S": S,
+                "S": sf.S,
                 "K": sf.K,
                 "n": n,
                 "seed": seed,
@@ -323,7 +313,13 @@ def cmd_generate(args) -> int:
             np.savetxt(rows_path, pvec, delimiter=",", fmt="%.17g")
     else:
         p = sf.p or 3
-        ds = noisegen.sample_iid_noisy(sf.prior, sf.scenario().T, p, n, seed)
+        T = sf.scenario().T
+        if sf.features is None:
+            ds = noisegen.sample_iid_noisy(sf.prior, T, p, n, seed)
+        else:
+            # the records draw from their own stream, not the matrices'
+            fm = sf.feature_model(seed)
+            ds = features.sample_with_features(sf.prior, T, fm, n, (seed, 1), p)
         ds.provenance["noise_model"] = nm
         ds.to_csv(args.out)
     emit(
@@ -338,15 +334,15 @@ def cmd_estimate(args) -> int:
     truth = load_matrix(args.truth) if args.truth else None
     if args.exact:
         sf = load_scenario(args.source)
-        joint = consensus.exact_joint(sf.scenario(), sf.p or 3)
+        joint = consensus.exact_joint(sf.prior, [sf.scenario().T] * (sf.p or 3))
         result = consensus.estimate(joint, restarts=args.restarts, seed=seed)
         if truth is None:
             truth = sf.scenario().T.entries
     else:
         ds = NoisyDataset.from_csv(args.source)
         if args.from_features:
-            result = features.fit_three_view(
-                features.empirical_three_view(ds), restarts=args.restarts, seed=seed, n=ds.n
+            result = consensus.fit(
+                features.empirical_three_view(ds), False, args.restarts, seed, ds.n
             )
         else:
             result = consensus.estimate(
@@ -475,8 +471,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="recover (prior, T) from data")
     p.add_argument("source", help="dataset CSV, or scenario file with --exact")
-    p.add_argument("--exact", action="store_true", help="fit the exact forward joint")
-    p.add_argument("--from-features", action="store_true")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--exact", action="store_true", help="fit the exact forward joint")
+    source.add_argument(
+        "--from-features", action="store_true",
+        help="fit two feature columns and the first noisy label as distinct views",
+    )
     p.add_argument("--restarts", type=_int_at_least(1), default=20)
     p.add_argument("--truth", default=None, help="matrix file for error reporting")
     seeded(p)

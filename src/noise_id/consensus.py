@@ -78,24 +78,43 @@ def _sum_over_axis_orders(s):
     return s
 
 
-def _check_cells(K, p):
-    """Refuse a joint tensor of K**p cells above MAX_JOINT_CELLS before
-    anything is allocated."""
-    if K**p > MAX_JOINT_CELLS:
+def _check_cells(dims):
+    """Refuse a joint tensor of shape dims above MAX_JOINT_CELLS cells
+    before anything is allocated."""
+    cells = math.prod(dims)
+    if cells > MAX_JOINT_CELLS:
         raise CapabilityError(
-            f"a joint tensor of p={p} labels over K={K} classes has {K**p} "
+            f"a joint tensor of {len(dims)} observed variables has {cells} "
             f"cells, above the cap of {MAX_JOINT_CELLS} (MAX_JOINT_CELLS)"
         )
 
 
-def exact_joint(s: Scenario, p: int) -> np.ndarray:
-    """Forward model, a read-only order-p array:
-    joint[j1..jp] = sum_y prior[y] * prod_i T[y, j_i]. Raises
-    CapabilityError above MAX_JOINT_CELLS cells."""
-    if p < 1:
-        raise ValidationError("p must be >= 1")
-    _check_cells(s.K, p)
-    return _frozen(_kernels.forward(s.prior.weights, [s.T.entries] * p))
+def exact_joint(prior: Prior, factors) -> np.ndarray:
+    """Forward model of the latent-class model, a read-only array with one
+    axis per factor (a matrix with one row per hidden state):
+    joint[j1..jp] = sum_y prior[y] * prod_i factors[i][y, j_i]. p i.i.d.
+    noisy labels are the factors [T] * p. Raises CapabilityError above
+    MAX_JOINT_CELLS cells."""
+    mats = [_as_array(f, "factor") for f in factors]
+    if not mats:
+        raise ValidationError("need at least one factor")
+    if any(m.shape[0] != prior.K for m in mats):
+        raise DimensionError(f"every factor needs one row per hidden state ({prior.K})")
+    _check_cells([m.shape[1] for m in mats])
+    return _frozen(_kernels.forward(prior.weights, mats))
+
+
+def counts(columns, dims, n) -> np.ndarray:
+    """The count tensor of shape dims of n records: axis i counts the
+    0-based outcomes columns[i] (one per record). No columns count as the
+    scalar n. Raises CapabilityError above MAX_JOINT_CELLS cells before
+    anything is allocated."""
+    _check_cells(dims)
+    if not columns:  # one cell, which holds every record
+        return np.asarray(n)
+    # bincount copies a read-only index array, so the index is not broadcast
+    cells = np.ravel_multi_index(tuple(columns), dims)
+    return np.bincount(cells, minlength=math.prod(dims)).reshape(dims)
 
 
 def empirical_joint(ds: NoisyDataset) -> np.ndarray:
@@ -106,13 +125,8 @@ def empirical_joint(ds: NoisyDataset) -> np.ndarray:
     MAX_JOINT_CELLS cells."""
     if ds.n == 0:
         raise ValidationError("empty dataset")
-    K, p = ds.K, ds.p
-    _check_cells(K, p)
-    shape = (K,) * p
-    # one cell index per record (ravel_multi_index gives one scalar at p = 0)
-    cells = np.broadcast_to(np.ravel_multi_index(tuple((ds.noisy - 1).T), shape), ds.n)
-    counts = np.bincount(cells, minlength=K**p).reshape(shape)
-    return _frozen(_sum_over_axis_orders(counts) / (math.factorial(p) * ds.n))
+    c = counts(tuple((ds.noisy - 1).T), (ds.K,) * ds.p, ds.n)
+    return _frozen(_sum_over_axis_orders(c) / (math.factorial(ds.p) * ds.n))
 
 
 @dataclass(frozen=True)

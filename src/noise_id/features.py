@@ -1,4 +1,4 @@
-"""Disentangled discrete feature simulation and feature-based recovery.
+"""Disentangled discrete feature simulation and the feature-path count tensor.
 
 Features are categorical by construction: each feature draws independently
 from its observation matrix's row for the hidden state, which makes the set
@@ -7,18 +7,15 @@ disentangled (conditionally independent given the hidden state) by design.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from . import _kernels
-from .consensus import EstimateResult, fit
+from .consensus import counts
 from .datasets import NoisyDataset
 from .errors import CapabilityError, DimensionError, SearchExhaustedError, ValidationError
 from .identifiability import ObservationModel
 from .matrices import ObsMatrix, Prior, TransitionMatrix
 from .matrices import max_trace_permutation  # noqa: F401  (idbench/tracing.py wraps it here)
-from .noisegen import _sample_rows
+from .noisegen import sample_views
 
 REJECTION_CAP = 1000
 
@@ -32,7 +29,7 @@ def gen_feature_model(
     from .matrices import kruskal_rank
 
     if p < 1:
-        raise ValidationError("p must be >= 1")
+        raise ValidationError("need at least one feature")
     if isinstance(cardinalities, int):
         cards = [cardinalities] * p
     else:
@@ -63,25 +60,18 @@ def gen_feature_model(
 
 
 def sample_with_features(
-    prior: Prior, T: TransitionMatrix | None, fm: ObservationModel, n: int, seed
+    prior: Prior, T: TransitionMatrix | None, fm: ObservationModel, n: int, seed, p: int = 1
 ) -> NoisyDataset:
     """Per record: hidden state from the prior, each feature from its matrix's
-    row, and (when T is given) one noisy label through T."""
+    row, and (when T is given) p noisy labels through T."""
     if prior.K != fm.K:
         raise DimensionError("prior and feature model disagree on the hidden size")
     if T is not None and T.K != fm.K:
         raise DimensionError("T and feature model disagree on the hidden size")
     if n < 1:
         raise ValidationError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    h0 = _sample_rows(rng, prior.weights[None, :], np.zeros(n, dtype=np.int64), 1)[:, 0]
-    r = np.empty((n, fm.p), dtype=np.int64)
-    for i, m in enumerate(fm.models):
-        r[:, i] = _sample_rows(rng, m.entries, h0, 1)[:, 0] + 1
-    if T is not None:
-        noisy = (_sample_rows(rng, T.entries, h0, 1)[:, 0] + 1)[:, None]
-    else:
-        noisy = np.zeros((n, 0), dtype=np.int64)
+    views = [(m, 1) for m in fm.models] + ([(T, p)] if T is not None else [])
+    y, obs = sample_views(prior, views, n, np.random.default_rng(seed))
     provenance = {
         "model": "features",
         "seed": seed,
@@ -93,7 +83,7 @@ def sample_with_features(
         "has_noisy_label": T is not None,
     }
     return NoisyDataset(
-        y=h0 + 1, noisy=noisy, K=fm.K, provenance=provenance, r=r
+        y=y, noisy=obs[:, fm.p :], K=fm.K, provenance=provenance, r=obs[:, : fm.p]
     )
 
 
@@ -118,40 +108,18 @@ def group_meta_features(fm: ObservationModel, split) -> tuple[ObsMatrix, ObsMatr
     return metas[0], metas[1]
 
 
-def exact_three_view_joint(prior: Prior, mats) -> np.ndarray:
-    """Forward model for three distinct observation matrices: the order-3
-    joint over their outcomes given the shared hidden state."""
-    ms = [m.entries if hasattr(m, "entries") else np.asarray(m, float) for m in mats]
-    if len(ms) != 3:
-        raise ValidationError("need exactly three observation matrices")
-    return _kernels.forward(prior.weights, ms)
-
-
-def fit_three_view(tensor, restarts=20, seed=0, n=math.inf) -> EstimateResult:
-    """Fit (prior, A, B, C) to an order-3 joint with distinct factors,
-    estimated from n records (n = inf: an exact tensor), by `consensus.fit`.
-    The third axis is the noisy label, so its length is K and C is returned
-    as the transition matrix, with the hidden states ordered to maximize its
-    trace, and A and B as `feature_models`. `fit` checks the tensor."""
-    if np.ndim(tensor) != 3:
-        raise ValidationError("need an order-3 tensor")
-    return fit(tensor, False, restarts, seed, n)
-
-
 def empirical_three_view(ds: NoisyDataset) -> np.ndarray:
-    """Frequency tensor over (R_1, R_2, first noisy label) from a dataset.
-    Fewer than two feature columns or no noisy label raise CapabilityError.
-    """
+    """Frequency tensor over (R_1, R_2, first noisy label) from a dataset,
+    for a `consensus.fit` with distinct factors. Fewer than two feature
+    columns or no noisy label raise CapabilityError, and so does a tensor
+    above MAX_JOINT_CELLS cells."""
     if ds.r is None or ds.r.shape[1] < 2 or ds.p < 1:
         raise CapabilityError(
             "feature-path estimation needs two feature columns plus a "
             "noisy label (three observed variables)"
         )
-    ra = ds.r[:, 0] - 1
-    rb = ds.r[:, 1] - 1
-    yt = ds.noisy[:, 0] - 1
-    if min(ra.min(), rb.min()) < 0:
+    cols = (ds.r[:, 0] - 1, ds.r[:, 1] - 1, ds.noisy[:, 0] - 1)
+    if min(cols[0].min(), cols[1].min()) < 0:
         raise ValidationError("feature values must be >= 1")
-    dims = (int(ra.max()) + 1, int(rb.max()) + 1, ds.K)
-    cells = np.ravel_multi_index((ra, rb, yt), dims)
-    return np.bincount(cells, minlength=math.prod(dims)).reshape(dims) / ds.n
+    dims = (int(cols[0].max()) + 1, int(cols[1].max()) + 1, ds.K)
+    return counts(cols, dims, ds.n) / ds.n

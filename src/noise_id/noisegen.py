@@ -32,20 +32,40 @@ def asymmetric_T(K: int, eps: float) -> TransitionMatrix:
     return TransitionMatrix(T)
 
 
-def _sample_rows(rng, probs: np.ndarray, which: np.ndarray, draws: int) -> np.ndarray:
+def _sample_rows(rng, probs: np.ndarray, which: np.ndarray, draws: int, out=None) -> np.ndarray:
     """Sample `draws` categorical outcomes per record from probs[which[i]].
 
-    Returns 0-based outcomes with shape (len(which), draws). The uniforms are
-    drawn ROW_BLOCK records at a time, which gives the same stream as one
-    draw of them all.
+    Returns 0-based outcomes with shape (len(which), draws), written into
+    out when it is given. The uniforms are drawn ROW_BLOCK records at a
+    time, which gives the same stream as one draw of them all.
     """
     cum = np.cumsum(probs, axis=1)
-    out = np.empty((which.shape[0], draws), dtype=np.int64)
+    if out is None:
+        out = np.empty((which.shape[0], draws), dtype=np.int64)
     for lo in range(0, which.shape[0], ROW_BLOCK):
         w = which[lo : lo + ROW_BLOCK]
         u = rng.random((w.shape[0], draws))
         out[lo : lo + ROW_BLOCK] = (u[:, :, None] > cum[w][:, None, :]).sum(axis=2)
     return out
+
+
+def sample_views(prior: Prior, views, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """n records of the latent-class model: a hidden state per record from
+    the prior, then, for each (matrix, draws) of views in turn, `draws`
+    outcomes per record from the matrix row of its hidden state.
+
+    Returns the hidden states, shape (n,), and the outcomes, shape (n, total
+    draws) with the views' columns in order, both 1-based.
+    """
+    h = _sample_rows(rng, prior.weights[None, :], np.zeros(n, dtype=np.int64), 1)[:, 0]
+    out = np.empty((n, sum(draws for _, draws in views)), dtype=np.int64)
+    col = 0
+    for m, draws in views:
+        _sample_rows(rng, m.entries, h, draws, out[:, col : col + draws])
+        col += draws
+    h += 1
+    out += 1
+    return h, out
 
 
 def sample_iid_noisy(
@@ -57,22 +77,17 @@ def sample_iid_noisy(
         raise ValidationError("need p >= 1 and n >= 1")
     if prior.K != T.K:
         raise ValidationError("prior and T disagree on K")
-    rng = np.random.default_rng(seed)
-    K = T.K
-    y = _sample_rows(rng, prior.weights[None, :], np.zeros(n, dtype=np.int64), 1)[:, 0]
-    noisy = _sample_rows(rng, T.entries, y, p)
-    y += 1
-    noisy += 1
+    y, noisy = sample_views(prior, [(T, p)], n, np.random.default_rng(seed))
     provenance = {
         "model": "iid",
-        "K": K,
+        "K": T.K,
         "p": p,
         "n": n,
         "seed": seed,
         "prior": prior.weights.tolist(),
         "T": T.entries.tolist(),
     }
-    return NoisyDataset(y=y, noisy=noisy, K=K, provenance=provenance)
+    return NoisyDataset(y=y, noisy=noisy, K=T.K, provenance=provenance)
 
 
 def sample_truncated_normal(rng, mean: float, sd: float, low: float, high: float, size: int):

@@ -16,13 +16,13 @@ from noise_id.consensus import (
     err_metric,
     estimate,
     exact_joint,
+    fit,
     mixing_bound,
     mpe_forward,
     mpe_inverse,
     mpe_noise_rates,
     witness_p2,
 )
-from noise_id.features import exact_three_view_joint, fit_three_view
 from noise_id.features import gen_feature_model
 from noise_id.identifiability import (
     IDENTIFIABLE,
@@ -126,7 +126,7 @@ def test_criterion_05_exact_recovery_sweep():
     for t in range(n_trials):
         K = 2 if t % 2 == 0 else 3
         s = random_scenario(rng, K)
-        result = estimate(exact_joint(s, 3), seed=t)
+        result = estimate(exact_joint(s.prior, [s.T] * 3), seed=t)
         _, aligned = align_permutation(result.scenario.T.entries, s.T.entries)
         err = np.abs(aligned - s.T.entries).max()
         if err <= 1e-6:
@@ -222,8 +222,8 @@ def test_criterion_11_feature_path_and_checker():
     B = ObsMatrix([[0.7, 0.3], [0.4, 0.6]])
     T = TransitionMatrix([[0.85, 0.15], [0.25, 0.75]])
     prior = Prior([0.6, 0.4])
-    tensor = exact_three_view_joint(prior, [A, B, T])
-    result = fit_three_view(tensor, seed=0)
+    tensor = exact_joint(prior, [A, B, T])
+    result = fit(tensor, False, seed=0)
     rec_ok = (
         np.abs(result.scenario.T.entries - T.entries).max() < 1e-6
         and np.abs(result.feature_models[0].entries - A.entries).max() < 1e-6
@@ -268,7 +268,7 @@ def test_criterion_12_determinism(tmp_path):
     runs = []
     for _ in range(2):
         s = binary_scenario(0.6, 0.1, 0.3)
-        result = estimate(exact_joint(s, 3), seed=12)
+        result = estimate(exact_joint(s.prior, [s.T] * 3), seed=12)
         runs.append(
             (result.scenario.T.entries.tobytes(), result.residual,
              tuple(result.per_restart_residuals))

@@ -26,6 +26,7 @@ from noise_id.cli import (
     main,
 )
 from noise_id.errors import ConvergenceWarning
+from noise_id.features import gen_feature_model
 
 
 def write(tmp_path, name, doc):
@@ -166,6 +167,26 @@ class TestGenerate:
             files.append(out.read_bytes())
         assert files[0] == files[1]
 
+    def test_features_section_writes_feature_columns(self, tmp_path, capsys):
+        # the matrices are those that check --mode group draws from the seed;
+        # estimate --from-features recovers T from r_1, r_2 and ytilde_1
+        T = (0.7 * np.eye(3) + 0.1).tolist()
+        features = {"d_star": 2, "cardinalities": 4, "min_kruskal": 3}
+        scen = write(tmp_path, "f.json", {"K": 3, "prior": [0.3, 0.3, 0.4], "T": T,
+                                          "seed": 21, "n": 100_000, "features": features})
+        out = tmp_path / "f.csv"
+        assert main(["generate", scen, "-o", str(out), "--no-timestamp"]) == EXIT_OK
+        capsys.readouterr()
+        assert out.read_text().partition("\n")[0] == "r_1,r_2,y,ytilde_1,ytilde_2,ytilde_3"
+        sidecar = json.loads((tmp_path / "f.csv.provenance.json").read_text())
+        fm = gen_feature_model(3, 2, 4, 3, seed=21)
+        assert sidecar["feature_models"] == [m.entries.tolist() for m in fm.models]
+        truth = write(tmp_path, "truth.json", T)
+        argv = ["estimate", str(out), "--from-features", "--truth", truth, "--json",
+                "--no-timestamp"]
+        assert main(argv) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["err"] <= 3.0
+
     def test_strict_requires_seed(self, tmp_path):
         scen = write(
             tmp_path,
@@ -230,6 +251,14 @@ class TestEstimate:
         assert main(["estimate", str(out)]) == EXIT_CAPABILITY
         err = capsys.readouterr().err
         assert "2187 cells" in err and "MAX_JOINT_CELLS" in err
+
+    def test_huge_feature_values_exit_3_naming_the_cap(self, tmp_path, capsys):
+        # 2e6 * 3e6 * 2 cells are refused before the count tensor is allocated
+        data = tmp_path / "huge.csv"
+        data.write_text("r_1,r_2,y,ytilde_1\n2000000,3000000,2,2\n")
+        assert main(["estimate", str(data), "--from-features"]) == EXIT_CAPABILITY
+        err = capsys.readouterr().err
+        assert "12000000000000 cells" in err and "MAX_JOINT_CELLS" in err
 
     def test_K11_exact_exit_3_at_once(self, tmp_path):
         # 11**3 cells are above MAX_JOINT_CELLS and K=11 above MAX_ALIGN_K;
@@ -563,6 +592,13 @@ class TestMalformedInput:
             ("inst_p.json",
              '{"K": 3, "noise_model": {"type": "instance", "eps": 0.2}, "n": 10, "p": 3}',
              ["generate", "{path}", "-o", "{out}"], "'p'"),
+            ("inst_features.json",
+             '{"K": 3, "noise_model": {"type": "instance", "eps": 0.2}, "n": 10, '
+             '"features": {"d_star": 2}}',
+             ["generate", "{path}", "-o", "{out}"], "'features'"),
+            ("no_features.json",
+             '{"K": 2, "T": [[0.9, 0.1], [0.3, 0.7]], "n": 10, "features": {"d_star": 0}}',
+             ["generate", "{path}", "-o", "{out}"], "need at least one feature"),
             ("matrix.json",
              '[["a", 0.5], [0.5, 0.5]]',
              ["bound", "{path}", "{path}", "{path}"], "matrix.json"),
@@ -643,7 +679,8 @@ class TestMalformedInput:
              ["bound", "{path}", "{good}", "{good}"], "text that is not UTF-8"),
         ],
         ids=["missing-eps", "K-not-integer", "csv-cell", "csv-int64-overflow",
-             "csv-header-only", "csv-not-utf8", "instance-p", "matrix-cell",
+             "csv-header-only", "csv-not-utf8", "instance-p", "instance-features",
+             "no-features", "matrix-cell",
              "seed-word", "seed-negative", "seed-float", "instance-n-negative",
              "n-zero", "p-zero", "instance-p-zero",
              "instance-S-negative", "noise-model-type-list", "K-n-p-float",
@@ -756,6 +793,12 @@ class TestMalformedInput:
         doc["features"] = {"d_star": 2}
         assert load_scenario(write(tmp_path, "s.json", doc)).cardinalities == (2, 2)
 
+    def test_exact_and_from_features_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["estimate", "s.json", "--exact", "--from-features"])
+        assert e.value.code == EXIT_VALIDATION
+        assert "not allowed with argument --exact" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [["estimate", "s.json", "--exact", "--restarts", "0"],
@@ -777,6 +820,8 @@ VALID_SCENARIOS = [
     {"K": 3, "prior": [0.2, 0.3, 0.5], "noise_model": {"type": "instance", "eps": 0.2, "S": 4},
      "seed": 2, "n": 20,
      "features": {"d_star": 3, "cardinalities": [2, 3, 2]}, "groups": {"count": 2}},
+    # generate refuses a features section in an instance scenario
+    {"K": 3, "noise_model": {"type": "instance", "eps": 0.3, "S": 2}, "seed": 3, "n": 20},
 ]
 
 

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ from noise_id.consensus import (
     WITNESS_MIN_DISTANCE,
     binary_scenario,
     binary_stats,
+    counts,
     empirical_joint,
     err_metric,
     estimate,
     exact_joint,
+    fit,
     mixing_bound,
     mpe_forward,
     mpe_inverse,
@@ -21,7 +24,6 @@ from noise_id.consensus import (
     witness_p2,
 )
 from noise_id.datasets import NoisyDataset
-from noise_id.features import fit_three_view
 from noise_id.errors import (
     CapabilityError,
     DegenerateClassError,
@@ -72,10 +74,10 @@ class TestFitChecksTheTarget:
             estimate(target)
 
     @pytest.mark.parametrize("name", BAD_TARGETS)
-    def test_bad_values_refused_through_fit_three_view(self, name):
+    def test_bad_values_refused_through_fit(self, name):
         target, message = BAD_TARGETS[name]
         with pytest.raises(ValidationError, match=message):
-            fit_three_view(target)
+            fit(target, False)
 
     def test_tied_axes_must_all_be_K(self):
         # the symmetry test cannot swap axes of different lengths, so the
@@ -88,7 +90,7 @@ class TestJointArrays:
     def test_read_only_float64_results(self):
         s = binary_scenario(0.6, 0.1, 0.3)
         ds = sample_iid_noisy(s.prior, s.T, p=3, n=50, seed=0)
-        for joint in (exact_joint(s, 3), empirical_joint(ds)):
+        for joint in (exact_joint(s.prior, [s.T] * 3), empirical_joint(ds)):
             assert joint.dtype == np.float64 and not joint.flags.writeable
 
     @pytest.mark.parametrize("p", [2, 3, 4, 5])
@@ -103,39 +105,42 @@ class TestJointArrays:
 class TestExactJoint:
     def test_identity_diagonal(self):
         s = Scenario(T=TransitionMatrix(np.eye(2)), prior=Prior([0.5, 0.5]))
-        t = exact_joint(s, 3)
+        t = exact_joint(s.prior, [s.T] * 3)
         expected = np.zeros((2, 2, 2))
         expected[0, 0, 0] = expected[1, 1, 1] = 0.5
         np.testing.assert_allclose(t, expected)
 
     def test_binary_two_label_statistics(self):
-        t = exact_joint(binary_scenario(0.7, 0.2, 0.2), 2)
+        s = binary_scenario(0.7, 0.2, 0.2)
+        t = exact_joint(s.prior, [s.T] * 2)
         assert t[0, 0] == pytest.approx(0.46)
         assert t[1, 1] == pytest.approx(0.22)
         assert t[0].sum() == pytest.approx(0.62)
 
     def test_published_counterexample_pair_matches(self):
-        a = exact_joint(binary_scenario(0.7, 0.2, 0.2), 2)
-        b = exact_joint(binary_scenario(0.8, 0.242, 0.07), 2)
+        a, b = (
+            exact_joint(s.prior, [s.T] * 2)
+            for s in (binary_scenario(0.7, 0.2, 0.2), binary_scenario(0.8, 0.242, 0.07))
+        )
         assert np.abs(a - b).max() < 1e-3
 
     @pytest.mark.parametrize("p", [1, 4, 6])
     def test_matches_outer_products(self, p):
         s = Scenario(T=asymmetric_T(3, 0.3), prior=Prior([0.2, 0.3, 0.5]))
         want = outer_product_joint(s.prior.weights, [s.T.entries] * p)
-        np.testing.assert_allclose(exact_joint(s, p), want, rtol=0, atol=1e-16)
+        np.testing.assert_allclose(exact_joint(s.prior, [s.T] * p), want, rtol=0, atol=1e-16)
 
     def test_cell_cap_before_allocating(self):
         s = binary_scenario(0.6, 0.1, 0.3)
-        assert exact_joint(s, 10).ndim == 10  # 1024 cells, at the cap
+        assert exact_joint(s.prior, [s.T] * 10).ndim == 10  # 1024 cells, at the cap
         for p in (11, 200):
             with pytest.raises(CapabilityError, match="MAX_JOINT_CELLS"):
-                exact_joint(s, p)
+                exact_joint(s.prior, [s.T] * p)
 
     def test_marginalization_consistency(self):
         s = Scenario(T=asymmetric_T(3, 0.3), prior=Prior([0.2, 0.3, 0.5]))
-        t3 = exact_joint(s, 3)
-        t2 = exact_joint(s, 2)
+        t3 = exact_joint(s.prior, [s.T] * 3)
+        t2 = exact_joint(s.prior, [s.T] * 2)
         np.testing.assert_allclose(t3.sum(axis=2), t2, atol=1e-14)
         # full marginalization gives P(noisy) = prior @ T
         np.testing.assert_allclose(
@@ -196,11 +201,32 @@ class TestEmpiricalJoint:
         with pytest.raises(CapabilityError, match="MAX_JOINT_CELLS"):
             empirical_joint(ds)
 
+    def test_counting_holds_one_copy_of_the_labels(self):
+        # the 0-based labels (n x p) and one cell index per record: bincount
+        # copies a read-only index, such as a broadcast one, and must not
+        n, p = 200_000, 3
+        ds = sample_iid_noisy(Prior([0.4, 0.6]), asymmetric_T(2, 0.2), p, n, seed=0)
+        tracemalloc.start()
+        try:
+            empirical_joint(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * (p + 1) * 8 * n
+
+    def test_counts_match_a_cell_by_cell_oracle(self):
+        rng = np.random.default_rng(0)
+        dims = (3, 4, 2)
+        cols = [rng.integers(0, d, 500) for d in dims]
+        want = np.zeros(dims, dtype=np.int64)
+        np.add.at(want, tuple(cols), 1)
+        np.testing.assert_array_equal(counts(cols, dims, 500), want)
+
     def test_converges_to_exact(self):
         s = binary_scenario(0.7, 0.1, 0.2)
         ds = sample_iid_noisy(s.prior, s.T, p=3, n=1_000_000, seed=1)
         emp = empirical_joint(ds)
-        assert np.abs(emp - exact_joint(s, 3)).max() < 0.003
+        assert np.abs(emp - exact_joint(s.prior, [s.T] * 3)).max() < 0.003
 
 
 class TestBinaryStats:
@@ -233,14 +259,14 @@ class TestBinaryStats:
 class TestEstimate:
     def test_binary_reference_recovery(self):
         s = binary_scenario(0.6, 0.1, 0.3)
-        result = estimate(exact_joint(s, 3), seed=0)
+        result = estimate(exact_joint(s.prior, [s.T] * 3), seed=0)
         assert result.converged
         assert np.abs(result.scenario.T.entries - s.T.entries).max() < 1e-6
         assert np.abs(result.scenario.prior.weights - s.prior.weights).max() < 1e-6
 
     def test_identity_exact(self):
         s = Scenario(T=TransitionMatrix(np.eye(2)), prior=Prior([0.5, 0.5]))
-        result = estimate(exact_joint(s, 3), seed=0)
+        result = estimate(exact_joint(s.prior, [s.T] * 3), seed=0)
         assert result.residual < 1e-10
         np.testing.assert_allclose(result.scenario.T.entries, np.eye(2), atol=1e-9)
 
@@ -248,7 +274,7 @@ class TestEstimate:
         # the stalled restart is boundary-refined at once, not after every
         # other restart has also run to the descent cap
         s = Scenario(T=TransitionMatrix(np.eye(3)), prior=Prior([0.5, 0.3, 0.2]))
-        result = estimate(exact_joint(s, 3), seed=0)
+        result = estimate(exact_joint(s.prior, [s.T] * 3), seed=0)
         assert result.restarts_used == 1
         assert len(result.per_restart_residuals) == result.restarts_used
         assert result.residual < 1e-12
@@ -259,7 +285,7 @@ class TestEstimate:
         # must run until it stops improving to reach an exact fit
         T = TransitionMatrix([[0.7740, 0.2260], [0.9968, 0.0032]])
         s = Scenario(T=T, prior=Prior([0.7755, 0.2245]))
-        result = estimate(exact_joint(s, 3), seed=914281522)
+        result = estimate(exact_joint(s.prior, [s.T] * 3), seed=914281522)
         assert result.restarts_used == 1
         assert result.residual < 1e-12
         _, aligned = align_permutation(result.scenario.T.entries, T.entries)
@@ -268,7 +294,7 @@ class TestEstimate:
     def test_requires_order_three(self):
         s = binary_scenario(0.6, 0.1, 0.3)
         with pytest.raises(CapabilityError, match="p=2 noisy labels"):
-            estimate(exact_joint(s, 2))
+            estimate(exact_joint(s.prior, [s.T] * 2))
         # one class: 1 cell at any order, which no fit is needed for
         with pytest.raises(ValidationError, match="K >= 2"):
             estimate(np.ones((1,) * 30))
@@ -279,7 +305,7 @@ class TestEstimate:
         w = rng.dirichlet(np.full(K, 4.0))
         T = 0.5 * np.eye(K) + 0.5 * rng.dirichlet(np.ones(K), size=K)
         s = Scenario(T=TransitionMatrix(T), prior=Prior(w))
-        result = estimate(exact_joint(s, p), seed=0)
+        result = estimate(exact_joint(s.prior, [s.T] * p), seed=0)
         assert result.converged
         np.testing.assert_allclose(result.scenario.T.entries, T, rtol=0, atol=1e-9)
         np.testing.assert_allclose(result.scenario.prior.weights, w, rtol=0, atol=1e-9)
@@ -322,8 +348,8 @@ class TestEstimate:
 
     def test_deterministic_given_seed(self):
         s = Scenario(T=asymmetric_T(3, 0.3), prior=Prior([0.25, 0.35, 0.4]))
-        a = estimate(exact_joint(s, 3), seed=5)
-        b = estimate(exact_joint(s, 3), seed=5)
+        a = estimate(exact_joint(s.prior, [s.T] * 3), seed=5)
+        b = estimate(exact_joint(s.prior, [s.T] * 3), seed=5)
         np.testing.assert_array_equal(a.scenario.T.entries, b.scenario.T.entries)
         assert a.per_restart_residuals == b.per_restart_residuals
 

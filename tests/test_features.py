@@ -12,8 +12,6 @@ from noise_id.errors import (
 )
 from noise_id.features import (
     empirical_three_view,
-    exact_three_view_joint,
-    fit_three_view,
     gen_feature_model,
     group_meta_features,
     sample_with_features,
@@ -157,8 +155,8 @@ class TestFitThreeView:
         B = ObsMatrix([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]])
         T = TransitionMatrix([[0.85, 0.15], [0.25, 0.75]])
         prior = Prior([0.6, 0.4])
-        tensor = exact_three_view_joint(prior, [A, B, T])
-        result = fit_three_view(tensor, seed=0)
+        tensor = exact_joint(prior, [A, B, T])
+        result = fit(tensor, False, seed=0)
         assert result.converged and result.residual <= 1e-8
         assert np.abs(result.scenario.T.entries - T.entries).max() < 1e-6
         assert np.abs(result.scenario.prior.weights - prior.weights).max() < 1e-6
@@ -169,19 +167,19 @@ class TestFitThreeView:
         A = ObsMatrix([[0.9, 0.1], [0.2, 0.8]])
         B = ObsMatrix([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]])
         T = TransitionMatrix([[1.0, 0.0], [0.25, 0.75]])
-        tensor = exact_three_view_joint(Prior([0.6, 0.4]), [A, B, T])
-        result = fit_three_view(tensor, seed=0)
+        tensor = exact_joint(Prior([0.6, 0.4]), [A, B, T])
+        result = fit(tensor, False, seed=0)
         assert result.converged and result.restarts_used == 1
         assert np.abs(result.scenario.T.entries - T.entries).max() < 1e-9
 
     def test_uninformative_features_break_uniqueness(self):
         flat = ObsMatrix([[0.5, 0.5], [0.5, 0.5]])
         T = TransitionMatrix([[0.85, 0.15], [0.25, 0.75]])
-        tensor = exact_three_view_joint(Prior([0.6, 0.4]), [flat, flat, T])
+        tensor = exact_joint(Prior([0.6, 0.4]), [flat, flat, T])
         # rank-one features collapse the tensor, so many parameter points fit
         # it exactly; the solver matches the tensor but cannot single out the
         # generating T
-        result = fit_three_view(tensor, restarts=5, seed=0)
+        result = fit(tensor, False, restarts=5, seed=0)
         assert result.residual <= 1e-8
         err = np.abs(result.scenario.T.entries - T.entries).max()
         assert err > 1e-3
@@ -191,7 +189,7 @@ class TestFitThreeView:
         # noise of 1e6 records, so every restart runs and none is accepted
         tensor = np.random.default_rng(0).dirichlet(np.ones(18)).reshape(3, 3, 2)
         with pytest.warns(ConvergenceWarning, match="fit did not reach residual"):
-            result = fit_three_view(tensor, restarts=2, seed=0, n=1e6)
+            result = fit(tensor, False, restarts=2, seed=0, n=1e6)
         assert result.converged is False
         assert result.restarts_used == 2
         assert len(result.per_restart_residuals) == 2
@@ -203,8 +201,8 @@ class TestFitThreeView:
         rng = np.random.default_rng(K)
         w = rng.dirichlet(np.full(K, 4.0))
         T = 0.5 * np.eye(K) + 0.5 * rng.dirichlet(np.ones(K), size=K)
-        joint = exact_joint(Scenario(T=TransitionMatrix(T), prior=Prior(w)), 3)
-        general = fit_three_view(joint, restarts=1, seed=0)
+        joint = exact_joint(Prior(w), [T] * 3)
+        general = fit(joint, False, restarts=1, seed=0)
         tied = estimate(joint, restarts=1, seed=0)
         assert general.converged and tied.converged
         for got in (general.scenario.T.entries, *(m.entries for m in general.feature_models)):
@@ -216,7 +214,7 @@ class TestFitThreeView:
 
     def test_tied_fit_has_no_feature_models(self):
         s = Scenario(T=asymmetric_T(2, 0.2), prior=Prior([0.6, 0.4]))
-        result = fit(exact_joint(s, 3), tied=True, restarts=1)
+        result = fit(exact_joint(s.prior, [s.T] * 3), tied=True, restarts=1)
         assert result.converged and result.feature_models == ()
 
     def test_K_above_align_cap_refused_before_the_fit(self):
@@ -224,7 +222,7 @@ class TestFitThreeView:
         tensor = np.full((2, 2, K), 1 / (4 * K))
         t0 = time.perf_counter()
         with pytest.raises(CapabilityError, match="MAX_ALIGN_K"):
-            fit_three_view(tensor, restarts=1)
+            fit(tensor, False, restarts=1)
         assert time.perf_counter() - t0 < 1.0
 
     def test_success_rate_on_random_identifiable_configs(self):
@@ -244,8 +242,8 @@ class TestFitThreeView:
                 ok += 1  # skip unidentifiable draws, count as vacuous pass
                 continue
             w = rng.uniform(0.1, 0.9)
-            tensor = exact_three_view_joint(Prior([w, 1 - w]), [A, B, T])
-            result = fit_three_view(tensor, seed=t)
+            tensor = exact_joint(Prior([w, 1 - w]), [A, B, T])
+            result = fit(tensor, False, seed=t)
             if result.residual <= 1e-8:
                 ok += 1
         assert ok >= int(trials * 0.95)
@@ -280,7 +278,7 @@ class TestFeatureRecovery:
 
     def test_sampled_recovery(self):
         _, T, ds = self._dataset(300_000, 1)
-        result = fit_three_view(empirical_three_view(ds), seed=0, n=ds.n)
+        result = fit(empirical_three_view(ds), False, seed=0, n=ds.n)
         err = err_metric(
             result.scenario.T.entries, T.entries, permutation_invariant=True
         )
@@ -307,9 +305,9 @@ class TestFeatureRecovery:
         fm = gen_feature_model(3, 2, 4, 3, seed=fseed)
         ds = sample_with_features(w, T, fm, 100_000, dseed)
         truth = np.linalg.norm(
-            exact_three_view_joint(w, [*fm.models, T]) - empirical_three_view(ds)
+            exact_joint(w, [*fm.models, T]) - empirical_three_view(ds)
         )
-        result = fit_three_view(empirical_three_view(ds), seed=0, n=ds.n)
+        result = fit(empirical_three_view(ds), False, seed=0, n=ds.n)
         assert result.converged
         assert result.residual <= truth
         assert result.restarts_used == restarts_used

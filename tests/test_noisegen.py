@@ -3,6 +3,7 @@ import pytest
 
 from noise_id.datasets import ROW_BLOCK
 from noise_id.errors import ValidationError
+from noise_id.features import gen_feature_model, sample_with_features
 from noise_id.matrices import Prior, TransitionMatrix
 from noise_id.noisegen import (
     UnstructuredParams,
@@ -13,6 +14,7 @@ from noise_id.noisegen import (
     part_dependent_T,
     sample_iid_noisy,
     sample_truncated_normal,
+    sample_views,
     theorem5_threshold,
     unstructured_process,
 )
@@ -66,6 +68,27 @@ class TestSampleRows:
         noisy0 = one_shot_sample_rows(rng, T.entries, y0, p)
         np.testing.assert_array_equal(ds.y, y0 + 1)
         np.testing.assert_array_equal(ds.noisy, noisy0 + 1)
+
+    def test_feature_dataset_matches_one_shot_oracle(self):
+        # hidden state, then each feature, then the noisy label, one column
+        # at a time from the same stream
+        prior, T, n = Prior([0.3, 0.5, 0.2]), asymmetric_T(3, 0.25), ROW_BLOCK + 3
+        fm = gen_feature_model(3, 2, [2, 4], seed=8)
+        ds = sample_with_features(prior, T, fm, n, seed=4)
+        rng = np.random.default_rng(4)
+        h0 = one_shot_sample_rows(rng, prior.weights[None, :], np.zeros(n, dtype=np.int64), 1)[:, 0]
+        cols = [one_shot_sample_rows(rng, m.entries, h0, 1) for m in (*fm.models, T)]
+        np.testing.assert_array_equal(ds.y, h0 + 1)
+        np.testing.assert_array_equal(ds.r, np.hstack(cols[:2]) + 1)
+        np.testing.assert_array_equal(ds.noisy, cols[2] + 1)
+
+    def test_no_views_draws_only_the_hidden_state(self):
+        prior, n = Prior([0.3, 0.7]), 50
+        h, out = sample_views(prior, [], n, np.random.default_rng(2))
+        rng = np.random.default_rng(2)
+        want = one_shot_sample_rows(rng, prior.weights[None, :], np.zeros(n, dtype=np.int64), 1)
+        np.testing.assert_array_equal(h, want[:, 0] + 1)
+        assert out.shape == (n, 0)
 
 
 class TestSampleIidNoisy:
