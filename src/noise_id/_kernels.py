@@ -5,14 +5,18 @@ prior w and p row-stochastic factor matrices (`forward`). The factors are
 either tied (one factor T on every axis, p i.i.d. noisy labels) or distinct
 (one factor per axis, e.g. two features plus one noisy label); the number of
 factors given says which. The prior and each factor row are parameterised by
-softmax logits, and one numpy function, `_residual_jac`, gives the residual
-and its Jacobian with respect to those logits for both cases and any p.
+softmax logits. For both cases and any p, `_value` gives the squared
+residual, `_grad` its gradient 2 J^T r by contracting the residual tensor
+with the factors, and `_residual_jac` the residual and its Jacobian J with
+respect to those logits.
 
 A local fit runs gradient descent with backtracking line search on the
-squared residual (gradient 2 J^T r), then a Levenberg-Marquardt polish that
-brings exact-tensor fits down to machine precision. `refine_boundary` pins
-near-zero entries to a logit of -inf, where the softmax value and the
-Jacobian column are exactly 0, and reruns the same polish on the rest.
+squared residual, whose trial steps cost one forward pass each and whose
+gradient is taken only at an accepted step, then a Levenberg-Marquardt
+polish, the only user of J, that brings exact-tensor fits down to machine
+precision. `refine_boundary` pins near-zero entries to a logit of -inf,
+where the softmax value and the Jacobian column are exactly 0, and reruns
+the same polish on the rest.
 `solve` runs seeded restarts of tied or distinct fits under one stopping
 rule: a fit is done when its residual is within the sampling noise of the
 tensor, or within RESIDUAL_FLOOR for an exact tensor.
@@ -43,7 +47,9 @@ _AXES = "abcdefghjklmnopqrstuvwx"
 @functools.cache
 def _specs(p):
     """einsum subscripts of the order-p model, of its derivative in the prior
-    and of its derivative in the factor of each axis, built once per p."""
+    and in the factor of each axis, and of the contraction of a residual
+    tensor with every factor but that of axis k (for `_grad`), built once
+    per p."""
     ax = _AXES[:p]
     ops = ["y" + a for a in ax]
     return (
@@ -53,6 +59,7 @@ def _specs(p):
             ",".join([ops[k] + "i", "y", *ops[:k], *ops[k + 1 :]]) + "->" + ax + "yi"
             for k in range(p)
         ),
+        tuple(",".join([ax, *ops[:k], *ops[k + 1 :]]) + "->" + ops[k] for k in range(p)),
     )
 
 
@@ -89,6 +96,17 @@ def _softmax_jac(P):
     return P[..., :, None] * (_eye(P.shape[-1]) - P[..., None, :])
 
 
+def _value(theta, target, K, dims):
+    """Squared residual at theta, and the state (residual tensor, prior,
+    factor list as in dims) from which `_grad` and `_residual_jac` go on at
+    the same point."""
+    w, mats = _split(theta, K, dims)
+    full = mats * target.ndim if len(dims) < target.ndim else mats
+    R = forward(w, full) - target
+    r = R.ravel()
+    return r @ r, (R, w, mats)
+
+
 def _residual_jac(theta, target, K, dims):
     """Residual (model - target, flattened) and its Jacobian wrt theta.
 
@@ -97,13 +115,13 @@ def _residual_jac(theta, target, K, dims):
     Otherwise dims holds one cardinality per axis.
     """
     p = target.ndim
-    _, prior_spec, factor_specs = _specs(p)
-    w, mats = _split(theta, K, dims)
+    _, prior_spec, factor_specs, _ = _specs(p)
+    _, (R, w, mats) = _value(theta, target, K, dims)
     S = [_softmax_jac(M) for M in mats]
     tied = len(dims) < p
     if tied:
         mats, S = mats * p, S * p
-    r = (forward(w, mats) - target).ravel()
+    r = R.ravel()
     n = r.size
     blocks = [
         np.einsum(spec, S[k], w, *mats[:k], *mats[k + 1 :]).reshape(n, -1)
@@ -115,13 +133,32 @@ def _residual_jac(theta, target, K, dims):
     return r, np.concatenate([prior, *blocks], axis=1)
 
 
-def _value_grad(theta, target, K, dims):
-    r, J = _residual_jac(theta, target, K, dims)
-    return r @ r, 2.0 * (r @ J)
+def _grad(state):
+    """Gradient 2 J^T r of the squared residual in the logits, by contracting
+    the residual tensor R with the factors instead of forming J. E_k, R
+    contracted with every factor but that of axis k, gives the factor of
+    axis k the gradient w[y] * E_k[y] (summed over the axes for a tied
+    factor) and the prior <R, (x)_k M_k[y]> = sum_j E_k[y, j] M_k[y, j];
+    both then go through the softmax chain rule."""
+    R, w, mats = state
+    p = R.ndim
+    tied = len(mats) < p
+    full = mats * p if tied else mats
+    E = [np.einsum(spec, R, *full[:k], *full[k + 1 :]) for k, spec in enumerate(_specs(p)[3])]
+    gw = (E[-1] * full[-1]).sum(axis=1)
+    if tied:
+        E = [sum(E[1:], E[0])]
+    G = [w[:, None] * e for e in E]
+    parts = [w * (gw - gw @ w)]
+    parts += [(M * (g - (g * M).sum(axis=1, keepdims=True))).ravel() for M, g in zip(mats, G)]
+    return 2.0 * np.concatenate(parts)
 
 
 def _descend(theta, target, K, dims):
-    f, g = _value_grad(theta, target, K, dims)
+    """Gradient descent with backtracking line search: each trial step costs
+    one forward pass, and the gradient is taken only at an accepted step."""
+    f, state = _value(theta, target, K, dims)
+    g = _grad(state)
     step = 1.0
     for _ in range(DESCENT_ITER):
         gn2 = g @ g
@@ -130,9 +167,9 @@ def _descend(theta, target, K, dims):
         step = min(step * 2.0, 1e6)
         while step >= 1e-18:
             nt = theta - step * g
-            nf, ng = _value_grad(nt, target, K, dims)
+            nf, state = _value(nt, target, K, dims)
             if nf <= f - 1e-4 * step * gn2:
-                theta, f, g = nt, nf, ng
+                theta, f, g = nt, nf, _grad(state)
                 break
             step *= 0.5
         else:
@@ -142,7 +179,8 @@ def _descend(theta, target, K, dims):
 
 def _polish(theta, target, K, dims):
     """Levenberg-Marquardt refinement, until a step no longer improves the
-    squared residual or it falls below 1e-30."""
+    squared residual or it falls below 1e-30. A trial step costs one forward
+    pass; the Jacobian is formed only where a step is accepted."""
     lam = 1e-6
     r, J = _residual_jac(theta, target, K, dims)
     f = r @ r
@@ -153,10 +191,10 @@ def _polish(theta, target, K, dims):
         improved = False
         for _ in range(40):
             nt = theta - np.linalg.solve(JtJ + lam * eye, Jtr)
-            nr, nJ = _residual_jac(nt, target, K, dims)
-            nf = nr @ nr
+            nf, _ = _value(nt, target, K, dims)
             if nf < f:
-                theta, r, J, f = nt, nr, nJ, nf
+                theta, f = nt, nf
+                r, J = _residual_jac(theta, target, K, dims)
                 lam = max(lam * 0.3, 1e-12)
                 improved = True
                 break

@@ -191,7 +191,7 @@ def fit(target, tied, restarts=20, seed=0, n=math.inf) -> EstimateResult:
     Every target is checked here, before any fit: a finite probability
     tensor (entries >= -1e-12, sum 1 within 1e-9) with K >= 2, every axis K
     long when tied, or ValidationError; K above MAX_ALIGN_K raises
-    CapabilityError.
+    CapabilityError. restarts must be an integer >= 1, or ValidationError.
     """
     target = np.ascontiguousarray(target, dtype=np.float64)
     if not np.isfinite(target).all():
@@ -207,6 +207,8 @@ def fit(target, tied, restarts=20, seed=0, n=math.inf) -> EstimateResult:
     if tied and target.shape != square:
         raise ValidationError(f"target tensor has shape {target.shape}, expected {square}")
     check_align_k(K, "fit")
+    if isinstance(restarts, bool) or not isinstance(restarts, (int, np.integer)) or restarts < 1:
+        raise ValidationError(f"restarts must be an integer >= 1, got {restarts!r}")
     dims = (K,) if tied else target.shape
     f, w, mats, per_restart, converged = _kernels.solve(target, K, dims, restarts, seed, n)
     perm, T_aligned = max_trace_permutation(mats[-1])

@@ -128,17 +128,22 @@ def instance_noise(features, clean, eps: float, K: int, seed):
     if y.min() < 1 or y.max() > K:
         raise ValidationError(f"clean labels must lie in 1..{K}")
     n, S = x.shape
-    y0 = y - 1
     rng = np.random.default_rng(seed)
     q = sample_truncated_normal(rng, eps, TRUNCNORM_SD, 0.0, 1.0, n)
     W = rng.standard_normal((S, K))
-    scores = x @ W
-    scores[np.arange(n), y0] = -np.inf
-    scores -= scores.max(axis=1, keepdims=True)
-    e = np.exp(scores)
-    soft = e / e.sum(axis=1, keepdims=True)
-    pvec = q[:, None] * soft
-    pvec[np.arange(n), y0] = 1.0 - q
+    pvec = np.empty((n, K))
+    # the softmax is built ROW_BLOCK records at a time, so its temporaries
+    # do not grow with n
+    for lo in range(0, n, ROW_BLOCK):
+        block = slice(lo, lo + ROW_BLOCK)
+        scores = x[block] @ W
+        at_clean = np.arange(scores.shape[0]), y[block] - 1
+        scores[at_clean] = -np.inf
+        scores -= scores.max(axis=1, keepdims=True)
+        e = np.exp(scores)
+        out = pvec[block]
+        out[:] = q[block, None] * (e / e.sum(axis=1, keepdims=True))
+        out[at_clean] = 1.0 - q[block]
     noisy = _sample_rows(rng, pvec, np.arange(n), 1)[:, 0]
     noisy += 1
     return noisy, pvec

@@ -6,8 +6,9 @@ Monte Carlo for distribution summaries, scalar loops for the solver's
 residual and Jacobian, outer products for the latent-class tensor, loops
 over every axis order or feature split where the library uses polynomial
 shortcuts, the csv module, one row at a time, for dataset files, one draw of
-every uniform where the sampler draws them in blocks, and a grid search for
-the two-label witness that the library gives in closed form.
+every uniform where the sampler draws them in blocks, the softmax of all
+records at once where instance noise builds it in blocks, and a grid search
+for the two-label witness that the library gives in closed form.
 """
 
 import csv
@@ -18,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from noise_id.errors import ValidationError
+from noise_id.noisegen import TRUNCNORM_SD, sample_truncated_normal
 
 
 def _rational_rank(rows):
@@ -328,6 +330,26 @@ def one_shot_sample_rows(rng, probs, which, draws):
     cum = np.cumsum(probs, axis=1)
     u = rng.random((which.shape[0], draws))
     return (u[:, :, None] > cum[which][:, None, :]).sum(axis=2)
+
+
+def one_shot_instance_noise(features, clean, eps, K, seed):
+    """`noisegen.instance_noise` with the softmax of all records built at
+    once and every uniform taken in one rng.random call."""
+    from noise_id.noisegen import TRUNCNORM_SD, sample_truncated_normal
+
+    x = np.asarray(features, dtype=np.float64)
+    y0 = np.asarray(clean, dtype=np.int64) - 1
+    n, S = x.shape
+    rng = np.random.default_rng(seed)
+    q = sample_truncated_normal(rng, eps, TRUNCNORM_SD, 0.0, 1.0, n)
+    W = rng.standard_normal((S, K))
+    scores = x @ W
+    scores[np.arange(n), y0] = -np.inf
+    scores -= scores.max(axis=1, keepdims=True)
+    e = np.exp(scores)
+    pvec = q[:, None] * (e / e.sum(axis=1, keepdims=True))
+    pvec[np.arange(n), y0] = 1.0 - q
+    return one_shot_sample_rows(rng, pvec, np.arange(n), 1)[:, 0] + 1, pvec
 
 
 def rowwise_to_csv(ds, path):

@@ -79,6 +79,15 @@ class TestFitChecksTheTarget:
         with pytest.raises(ValidationError, match=message):
             fit(target, False)
 
+    @pytest.mark.parametrize("restarts", [0, 2.5, -1, True, "3", None])
+    def test_restarts_must_be_a_positive_integer(self, restarts):
+        target = np.full((2, 2, 2), 1 / 8)
+        for tied in (True, False):
+            with pytest.raises(ValidationError, match="restarts must be an integer >= 1"):
+                fit(target, tied, restarts)
+        with pytest.raises(ValidationError, match="restarts must be an integer >= 1"):
+            estimate(target, restarts=restarts)
+
     def test_tied_axes_must_all_be_K(self):
         # the symmetry test cannot swap axes of different lengths, so the
         # shape reaches fit

@@ -71,19 +71,91 @@ class TestResidualJacobian:
         assert np.abs(J - J0).max() < 1e-14
 
 
+class TestContractedGradient:
+    """Descent takes its gradient from `_grad`, which contracts the residual
+    tensor with the factors; LM takes the Jacobian from `_residual_jac`."""
+
+    CASES = {
+        "tied-p3": (3, (3,), 3),
+        "tied-p4": (3, (3,), 4),
+        "tied-p5": (2, (2,), 5),
+        "distinct-232": (2, (2, 3, 2), 3),
+        "distinct-443": (3, (4, 4, 3), 3),
+    }
+
+    def case(self, name, seed):
+        K, dims, p = self.CASES[name]
+        rng = np.random.default_rng(seed)
+        w = rng.dirichlet(np.ones(K))
+        mats = [rng.dirichlet(np.ones(d), size=K) for d in dims]
+        target = outer_product_joint(w, mats * p if len(dims) == 1 else mats)
+        return target, K, dims, rng.standard_normal(K + K * sum(dims))
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_matches_jacobian_product(self, name):
+        target, K, dims, theta = self.case(name, 30)
+        r, J = _kernels._residual_jac(theta, target, K, dims)
+        f, state = _kernels._value(theta, target, K, dims)
+        # the same residual bits as the Jacobian's, so LM accepts as before
+        assert f == r @ r
+        assert np.abs(_kernels._grad(state) - 2.0 * (r @ J)).max() < 1e-12
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_descent_forms_no_jacobian(self, name, monkeypatch):
+        target, K, dims, theta = self.case(name, 31)
+
+        def no_jacobian(*args):
+            raise AssertionError("descent formed a Jacobian")
+
+        monkeypatch.setattr(_kernels, "_residual_jac", no_jacobian)
+        monkeypatch.setattr(_kernels, "DESCENT_ITER", 100)
+        end = _kernels._descend(theta, target, K, dims)
+        value = _kernels._value
+        assert value(end, target, K, dims)[0] < value(theta, target, K, dims)[0]
+        assert not hasattr(_kernels, "_value_grad")
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_polish_forms_one_jacobian_per_accepted_step(self, name, monkeypatch):
+        target, K, dims, theta = self.case(name, 32)
+        residual_jac, value = _kernels._residual_jac, _kernels._value
+        calls = {"jacobians": 0, "accepted": 0}
+        lowest = []
+
+        def counted_jac(*args):
+            r, J = residual_jac(*args)
+            calls["jacobians"] += 1
+            if not lowest:
+                lowest.append(r @ r)
+            return r, J
+
+        def counted_value(*args):
+            f, state = value(*args)
+            # LM accepts exactly the trials below the lowest value so far;
+            # the Jacobian's own call comes before any trial
+            if lowest and f < lowest[0]:
+                lowest[0] = f
+                calls["accepted"] += 1
+            return f, state
+
+        monkeypatch.setattr(_kernels, "_residual_jac", counted_jac)
+        monkeypatch.setattr(_kernels, "_value", counted_value)
+        _kernels._polish(theta, target, K, dims)
+        assert calls["accepted"] > 0
+        assert calls["jacobians"] == calls["accepted"] + 1
+
+
 class TestSymmetricKernel:
     @pytest.mark.parametrize("K,p", [(2, 3), (3, 3), (2, 4), (3, 4), (2, 5)])
     def test_gradient_matches_finite_differences(self, K, p):
         target = sym_target(K, 0, p)
         rng = np.random.default_rng(1)
         theta = rng.standard_normal(K + K * K)
-        r, J = sym_residual_jac(theta, target, K)
+        g = _kernels._grad(_kernels._value(theta, target, K, (K,))[1])
 
         def value(t):
-            rt = sym_residual_jac(t, target, K)[0]
-            return rt @ rt
+            return _kernels._value(t, target, K, (K,))[0]
 
-        assert np.abs(2.0 * (r @ J) - num_grad(value, theta)).max() < 1e-7
+        assert np.abs(g - num_grad(value, theta)).max() < 1e-7
 
     @pytest.mark.parametrize("K,p", [(2, 3), (3, 3), (2, 4), (3, 4), (2, 5)])
     def test_jacobian_matches_finite_differences(self, K, p):
@@ -119,13 +191,12 @@ class TestGeneralKernel:
         mats = [rng.dirichlet(np.ones(d), size=K) for d in dims]
         target = np.einsum("y,ya,yb,yc->abc", w, *mats)
         theta = rng.standard_normal(K + K * sum(dims))
-        r, J = _kernels._residual_jac(theta, target, K, dims)
+        g = _kernels._grad(_kernels._value(theta, target, K, dims)[1])
 
         def value(t):
-            rt = _kernels._residual_jac(t, target, K, dims)[0]
-            return rt @ rt
+            return _kernels._value(t, target, K, dims)[0]
 
-        assert np.abs(2.0 * (r @ J) - num_grad(value, theta)).max() < 1e-7
+        assert np.abs(g - num_grad(value, theta)).max() < 1e-7
 
     def test_fit_recovers_tensor(self):
         K, dims = 2, (2, 2, 2)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from noise_id.noisegen import (
     unstructured_process,
 )
 
-from .oracles import one_shot_sample_rows, truncated_normal_mean_mc
+from .oracles import one_shot_instance_noise, one_shot_sample_rows, truncated_normal_mean_mc
 
 
 class TestAsymmetricT:
@@ -183,6 +185,31 @@ class TestInstanceNoise:
         y = rng.integers(1, 3, size=20_000)
         noisy, _ = instance_noise(x, y, eps=0.0, K=2, seed=2)
         assert 0 < (noisy != y).mean() < 0.2
+
+    @pytest.mark.parametrize("n", [1, ROW_BLOCK, 2 * ROW_BLOCK + 5])
+    def test_matches_one_shot_oracle(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, 10))
+        y = rng.integers(1, 4, size=n)
+        noisy, pvec = instance_noise(x, y, eps=0.3, K=3, seed=4)
+        want_noisy, want_pvec = one_shot_instance_noise(x, y, 0.3, 3, 4)
+        np.testing.assert_array_equal(pvec, want_pvec)
+        np.testing.assert_array_equal(noisy, want_noisy)
+
+    def test_softmax_memory_is_blocked(self):
+        # the rows it returns are n x K; the parts of the softmax that
+        # built them all at once took about six times that
+        n, K = 100_000, 3
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((n, 10))
+        y = rng.integers(1, K + 1, size=n)
+        tracemalloc.start()
+        try:
+            instance_noise(x, y, eps=0.3, K=K, seed=6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n * K * 8
 
     def test_validation(self):
         with pytest.raises(ValidationError):
