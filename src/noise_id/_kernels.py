@@ -8,15 +8,20 @@ factors given says which. The prior and each factor row are parameterised by
 softmax logits. For both cases and any p, `_value` gives the squared
 residual, `_grad` its gradient 2 J^T r by contracting the residual tensor
 with the factors, and `_residual_jac` the residual and its Jacobian J with
-respect to those logits.
+respect to those logits. A tied fit takes matrix form: its model is one
+product of the weighted factor with X, the Khatri-Rao power of the factor
+over the other p - 1 axes, and its gradient one product of X with the
+residual, which is exact because a tied target is symmetric (the caller
+symmetrizes it) and so is the residual.
 
 A local fit runs gradient descent with backtracking line search on the
 squared residual, whose trial steps cost one forward pass each and whose
 gradient is taken only at an accepted step, then a Levenberg-Marquardt
 polish, the only user of J, that brings exact-tensor fits down to machine
-precision. `refine_boundary` pins near-zero entries to a logit of -inf,
-where the softmax value and the Jacobian column are exactly 0, and reruns
-the same polish on the rest.
+precision and stops early where its gains stall (LM_STALL).
+`refine_boundary` pins near-zero entries to a logit of -inf, where the
+softmax value and the Jacobian column are exactly 0, and reruns the same
+polish on the rest.
 `solve` runs seeded restarts of tied or distinct fits under one stopping
 rule: a fit is done when its residual is within the sampling noise of the
 tensor, or within RESIDUAL_FLOOR for an exact tensor.
@@ -36,6 +41,13 @@ DESCENT_ITER = 5000
 DESCENT_GTOL = 1e-10
 DESCENT_FTOL = 1e-26
 LM_ITER = 500
+# LM stops at an accepted step that lowers the squared residual by less than
+# this fraction and by at least half as much as the step before. Near a
+# minimum on the simplex boundary each step only drifts one entry towards 0,
+# at gains that shrink slowly from 1e-9 to 1e-12. A plateau on the way to
+# another minimum can gain as little (2e-11 was seen), but there the gains
+# fall tenfold per step on the way in and grow on the way out.
+LM_STALL = 1e-10
 BOUNDARY_TOL = 1e-5
 RESIDUAL_FLOOR = 1e-10
 
@@ -74,7 +86,12 @@ def _softmax(x):
 
 
 def _split(theta, K, dims):
-    """Prior and factor matrices (one per entry of dims) from the logits."""
+    """Prior and factor matrices (one per entry of dims) from the logits.
+    When every factor is K wide, one softmax over the K-wide rows gives
+    them all, row 0 being the prior."""
+    if dims.count(K) == len(dims):
+        P = _softmax(theta.reshape(-1, K))
+        return P[0], [P[1 + i * K : 1 + (i + 1) * K] for i in range(len(dims))]
     mats, off = [], K
     for d in dims:
         mats.append(_softmax(theta[off : off + K * d].reshape(K, d)))
@@ -96,15 +113,33 @@ def _softmax_jac(P):
     return P[..., :, None] * (_eye(P.shape[-1]) - P[..., None, :])
 
 
+def _khatri_rao_power(T, q):
+    """X[y, (j_1..j_q)] = prod_k T[y, j_k], the row-wise Kronecker product
+    of q >= 1 copies of T, with j_1 the slowest index."""
+    X = T
+    for _ in range(q - 1):
+        X = (X[:, :, None] * T[:, None, :]).reshape(T.shape[0], -1)
+    return X
+
+
 def _value(theta, target, K, dims):
     """Squared residual at theta, and the state (residual tensor, prior,
-    factor list as in dims) from which `_grad` and `_residual_jac` go on at
-    the same point."""
+    factor list as in dims, X) from which `_grad` and `_residual_jac` go on
+    at the same point. A tied model is one matrix product: the weighted
+    factor of axis 0 against X, the Khatri-Rao power of the factor over the
+    other p - 1 axes; X is None for distinct factors."""
     w, mats = _split(theta, K, dims)
-    full = mats * target.ndim if len(dims) < target.ndim else mats
-    R = forward(w, full) - target
+    p = target.ndim
+    if len(dims) < p:
+        T = mats[0]
+        X = _khatri_rao_power(T, p - 1)
+        model = ((w[:, None] * T).T @ X).reshape(target.shape)
+    else:
+        X = None
+        model = forward(w, mats)
+    R = model - target
     r = R.ravel()
-    return r @ r, (R, w, mats)
+    return r @ r, (R, w, mats, X)
 
 
 def _residual_jac(theta, target, K, dims):
@@ -116,7 +151,7 @@ def _residual_jac(theta, target, K, dims):
     """
     p = target.ndim
     _, prior_spec, factor_specs, _ = _specs(p)
-    _, (R, w, mats) = _value(theta, target, K, dims)
+    _, (R, w, mats, _) = _value(theta, target, K, dims)
     S = [_softmax_jac(M) for M in mats]
     tied = len(dims) < p
     if tied:
@@ -137,18 +172,21 @@ def _grad(state):
     """Gradient 2 J^T r of the squared residual in the logits, by contracting
     the residual tensor R with the factors instead of forming J. E_k, R
     contracted with every factor but that of axis k, gives the factor of
-    axis k the gradient w[y] * E_k[y] (summed over the axes for a tied
-    factor) and the prior <R, (x)_k M_k[y]> = sum_j E_k[y, j] M_k[y, j];
-    both then go through the softmax chain rule."""
-    R, w, mats = state
+    axis k the gradient w[y] * E_k[y] and the prior
+    <R, (x)_k M_k[y]> = sum_j E_k[y, j] M_k[y, j]; both then go through the
+    softmax chain rule. A tied fit's R is symmetric, so every E_k is the
+    one matrix product E_0 = X R_(0)^T and its factor gradient is
+    p * w[y] * E_0[y]."""
+    R, w, mats, X = state
     p = R.ndim
-    tied = len(mats) < p
-    full = mats * p if tied else mats
-    E = [np.einsum(spec, R, *full[:k], *full[k + 1 :]) for k, spec in enumerate(_specs(p)[3])]
-    gw = (E[-1] * full[-1]).sum(axis=1)
-    if tied:
-        E = [sum(E[1:], E[0])]
-    G = [w[:, None] * e for e in E]
+    if X is not None:
+        E0 = X @ R.reshape(X.shape[0], -1).T
+        gw = (E0 * mats[0]).sum(axis=1)
+        G = [p * w[:, None] * E0]
+    else:
+        E = [np.einsum(spec, R, *mats[:k], *mats[k + 1 :]) for k, spec in enumerate(_specs(p)[3])]
+        gw = (E[-1] * mats[-1]).sum(axis=1)
+        G = [w[:, None] * e for e in E]
     parts = [w * (gw - gw @ w)]
     parts += [(M * (g - (g * M).sum(axis=1, keepdims=True))).ravel() for M, g in zip(mats, G)]
     return 2.0 * np.concatenate(parts)
@@ -179,12 +217,15 @@ def _descend(theta, target, K, dims):
 
 def _polish(theta, target, K, dims):
     """Levenberg-Marquardt refinement, until a step no longer improves the
-    squared residual or it falls below 1e-30. A trial step costs one forward
-    pass; the Jacobian is formed only where a step is accepted."""
+    squared residual, improves it by less than the fraction LM_STALL while
+    the gains shrink slowly, or it falls below 1e-30. A trial step costs
+    one forward pass; the Jacobian is formed only where a step is
+    accepted."""
     lam = 1e-6
     r, J = _residual_jac(theta, target, K, dims)
     f = r @ r
     eye = np.eye(theta.size)
+    gain = math.inf
     for _ in range(LM_ITER):
         JtJ = J.T @ J
         Jtr = J.T @ r
@@ -193,6 +234,7 @@ def _polish(theta, target, K, dims):
             nt = theta - np.linalg.solve(JtJ + lam * eye, Jtr)
             nf, _ = _value(nt, target, K, dims)
             if nf < f:
+                last, gain = gain, (f - nf) / f
                 theta, f = nt, nf
                 r, J = _residual_jac(theta, target, K, dims)
                 lam = max(lam * 0.3, 1e-12)
@@ -201,7 +243,7 @@ def _polish(theta, target, K, dims):
             lam *= 10.0
             if lam > 1e12:
                 break
-        if not improved or f < 1e-30:
+        if not improved or f < 1e-30 or last / 2 <= gain < min(last, LM_STALL):
             break
     return theta, float(f)
 
@@ -214,7 +256,8 @@ def _fit(target, K, dims, theta0):
 
 
 def fit_symmetric(target, K, theta0):
-    """One local solve of the tied-factor problem from theta0.
+    """One local solve of the tied-factor problem (a symmetric target) from
+    theta0.
 
     Returns (theta, squared residual, prior, T).
     """
@@ -265,7 +308,8 @@ def refine_boundary(target, w, mats):
 def solve(target, K, dims, restarts, seed, n):
     """Multi-start fit of a prior and factors to an order-p tensor estimated
     from n records (n = inf for an exact tensor). dims = (K,) fits one tied
-    factor; one cardinality per axis fits distinct factors.
+    factor to a symmetric target; one cardinality per axis fits distinct
+    factors.
 
     tol = max(sqrt((1 - sum target**2) / n), RESIDUAL_FLOOR) is the residual
     that sampling n records leaves. Restart r runs `fit_symmetric` or

@@ -55,12 +55,7 @@ def _symmetry_defect(v) -> float:
     exactly when v is symmetric, since the swaps generate every order of
     the axes."""
     swaps = [ik for group in _axis_swaps(v.ndim) for ik in group]
-    # an infinite cell gives nan here, and fit refuses it
-    with np.errstate(invalid="ignore"):
-        return max(
-            (float(np.abs(v - np.swapaxes(v, i, k)).max()) for i, k in swaps),
-            default=0.0,
-        )
+    return max((float(np.abs(v - np.swapaxes(v, i, k)).max()) for i, k in swaps), default=0.0)
 
 
 def _frozen(v) -> np.ndarray:
@@ -178,8 +173,11 @@ def fit(target, tied, restarts=20, seed=0, n=math.inf) -> EstimateResult:
     """Fit a latent-class model to the tensor `target` estimated from n
     records (n = inf: an exact tensor), by `_kernels.solve`. The last axis
     is the noisy label, so its length is the number K of hidden states. A
-    tied fit puts one K x K factor on every axis; otherwise axis k gets its
-    own K x target.shape[k] factor.
+    tied fit puts one K x K factor on every axis and fits the symmetric
+    part of the target, its mean over the p! orders of its axes (a
+    symmetric model is as far from a tensor as from its symmetric part,
+    plus a constant, so this moves neither the minimum nor the gradient);
+    otherwise axis k gets its own K x target.shape[k] factor.
 
     The last factor is the noisy label's transition matrix; the hidden
     states are ordered to maximize its trace (diagonal dominance), and the
@@ -189,8 +187,9 @@ def fit(target, tied, restarts=20, seed=0, n=math.inf) -> EstimateResult:
     records (if not, the best fit comes with a ConvergenceWarning).
 
     Every target is checked here, before any fit: a finite probability
-    tensor (entries >= -1e-12, sum 1 within 1e-9) with K >= 2, every axis K
-    long when tied, or ValidationError; K above MAX_ALIGN_K raises
+    tensor (entries >= -1e-12, sum 1 within 1e-9) with K >= 2 and, when
+    tied, every axis K long and a symmetry defect (`_symmetry_defect`) of
+    at most SYMMETRY_TOL, or ValidationError; K above MAX_ALIGN_K raises
     CapabilityError. restarts must be an integer >= 1, or ValidationError.
     """
     target = np.ascontiguousarray(target, dtype=np.float64)
@@ -204,8 +203,16 @@ def fit(target, tied, restarts=20, seed=0, n=math.inf) -> EstimateResult:
     if K < 2:
         raise ValidationError(f"fit requires K >= 2 hidden classes, got K={K}")
     square = (K,) * target.ndim
-    if tied and target.shape != square:
-        raise ValidationError(f"target tensor has shape {target.shape}, expected {square}")
+    if tied:
+        if target.shape != square:
+            raise ValidationError(f"target tensor has shape {target.shape}, expected {square}")
+        defect = _symmetry_defect(target)
+        if defect > SYMMETRY_TOL:
+            raise ValidationError(
+                f"tensor is not symmetric (defect {defect:.3g}); symmetrize first"
+            )
+        # the tied fit's matrix-form gradient needs a symmetric residual
+        target = _sum_over_axis_orders(target) / math.factorial(target.ndim)
     check_align_k(K, "fit")
     if isinstance(restarts, bool) or not isinstance(restarts, (int, np.integer)) or restarts < 1:
         raise ValidationError(f"restarts must be an integer >= 1, got {restarts!r}")
@@ -232,21 +239,16 @@ def estimate(
     """Recover (prior, T) from a symmetric joint array of order p >= 3 (p
     i.i.d. noisy labels, all of them fitted) estimated from n records (the
     default, n = inf, is an exact tensor), by a tied `fit`, which checks its
-    values and shape. Fewer than three labels raise CapabilityError, an
-    asymmetric tensor ValidationError. A converged fit that violates the
-    uniqueness preconditions (non-degenerate prior, full-rank T) comes with
-    a warning."""
+    values, shape and symmetry (an asymmetric tensor raises ValidationError)
+    and fits its symmetric part. Fewer than three labels raise
+    CapabilityError. A converged fit that violates the uniqueness
+    preconditions (non-degenerate prior, full-rank T) comes with a
+    warning."""
     joint = np.asarray(joint, dtype=np.float64)
     if joint.ndim < 3:
         raise CapabilityError(
             f"p={joint.ndim} noisy labels per record; three conditionally "
             "independent labels are required for instance-level recovery"
-        )
-    # axes of different lengths cannot be swapped; fit refuses that shape
-    defect = _symmetry_defect(joint) if len(set(joint.shape)) == 1 else 0.0
-    if defect > SYMMETRY_TOL:
-        raise ValidationError(
-            f"tensor is not symmetric (defect {defect:.3g}); symmetrize first"
         )
     result = fit(joint, True, restarts, seed, n)
     s = result.scenario

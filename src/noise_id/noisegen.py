@@ -37,15 +37,17 @@ def _sample_rows(rng, probs: np.ndarray, which: np.ndarray, draws: int, out=None
 
     Returns 0-based outcomes with shape (len(which), draws), written into
     out when it is given. The uniforms are drawn ROW_BLOCK records at a
-    time, which gives the same stream as one draw of them all.
+    time, which gives the same stream as one draw of them all, and the
+    cumulative sums are taken per block, so no second array as large as
+    probs is held.
     """
-    cum = np.cumsum(probs, axis=1)
     if out is None:
         out = np.empty((which.shape[0], draws), dtype=np.int64)
     for lo in range(0, which.shape[0], ROW_BLOCK):
         w = which[lo : lo + ROW_BLOCK]
         u = rng.random((w.shape[0], draws))
-        out[lo : lo + ROW_BLOCK] = (u[:, :, None] > cum[w][:, None, :]).sum(axis=2)
+        cum = np.cumsum(probs[w], axis=1)
+        out[lo : lo + ROW_BLOCK] = (u[:, :, None] > cum[:, None, :]).sum(axis=2)
     return out
 
 

@@ -89,10 +89,17 @@ class TestFitChecksTheTarget:
             estimate(target, restarts=restarts)
 
     def test_tied_axes_must_all_be_K(self):
-        # the symmetry test cannot swap axes of different lengths, so the
-        # shape reaches fit
+        # checked before the symmetry test, which cannot swap axes of
+        # different lengths
         with pytest.raises(ValidationError, match=r"shape \(2, 2, 3\), expected \(3, 3, 3\)"):
             estimate(np.full((2, 2, 3), 1 / 12))
+
+    def test_tied_target_must_be_symmetric(self):
+        v = np.full((3, 3, 3), 1 / 27)
+        v[0, 1, 2] += 2 * consensus.SYMMETRY_TOL
+        v[2, 1, 0] -= 2 * consensus.SYMMETRY_TOL
+        with pytest.raises(ValidationError, match="not symmetric"):
+            fit(v, True)
 
 
 class TestJointArrays:
@@ -348,6 +355,20 @@ class TestEstimate:
         with pytest.raises(CapabilityError, match="MAX_ALIGN_K"):
             estimate(joint, restarts=1)
         assert time.perf_counter() - t0 < 1.0
+
+    def test_fits_the_symmetric_part(self):
+        # an antisymmetric perturbation has a zero symmetric part, and the
+        # tied fit sees only that part
+        T = TransitionMatrix([[0.7, 0.2, 0.1], [0.15, 0.75, 0.1], [0.1, 0.25, 0.65]])
+        joint = exact_joint(Prior([0.25, 0.35, 0.4]), [T] * 3)
+        E = np.random.default_rng(3).uniform(size=joint.shape)
+        skewed = joint + 1e-8 * (E - np.swapaxes(E, 0, 1))
+        assert consensus._symmetry_defect(skewed) > 1e-9
+        a = fit(skewed, True, seed=2)
+        b = fit(permutation_sum(joint) / 6, True, seed=2)
+        assert a.converged and b.converged
+        np.testing.assert_allclose(a.scenario.T.entries, b.scenario.T.entries, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(a.scenario.prior.weights, b.scenario.prior.weights, rtol=0, atol=1e-12)
 
     def test_rejects_asymmetric_tensor(self):
         v = np.zeros((2, 2, 2))

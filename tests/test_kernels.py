@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from noise_id import _kernels
+from noise_id.consensus import empirical_joint
+from noise_id.matrices import Prior
+from noise_id.noisegen import asymmetric_T, sample_iid_noisy
 
 from .oracles import _gen_residual_jac, _sym_residual_jac, outer_product_joint
 
@@ -73,12 +76,16 @@ class TestResidualJacobian:
 
 class TestContractedGradient:
     """Descent takes its gradient from `_grad`, which contracts the residual
-    tensor with the factors; LM takes the Jacobian from `_residual_jac`."""
+    tensor with the factors (for a tied factor, one matrix product with its
+    Khatri-Rao power); LM takes the Jacobian from `_residual_jac`."""
 
     CASES = {
         "tied-p3": (3, (3,), 3),
         "tied-p4": (3, (3,), 4),
         "tied-p5": (2, (2,), 5),
+        "tied-K5-p3": (5, (5,), 3),
+        "tied-K8-p3": (8, (8,), 3),
+        "tied-K4-p5": (4, (4,), 5),
         "distinct-232": (2, (2, 3, 2), 3),
         "distinct-443": (3, (4, 4, 3), 3),
     }
@@ -99,6 +106,13 @@ class TestContractedGradient:
         # the same residual bits as the Jacobian's, so LM accepts as before
         assert f == r @ r
         assert np.abs(_kernels._grad(state) - 2.0 * (r @ J)).max() < 1e-12
+
+    @pytest.mark.parametrize("name", [name for name in CASES if name.startswith("tied")])
+    def test_tied_model_matches_forward(self, name):
+        target, K, dims, theta = self.case(name, 33)
+        _, (R, w, mats, _) = _kernels._value(theta, target, K, dims)
+        want = _kernels.forward(w, mats * target.ndim) - target
+        assert np.abs(R - want).max() < 1e-15
 
     @pytest.mark.parametrize("name", CASES)
     def test_descent_forms_no_jacobian(self, name, monkeypatch):
@@ -142,6 +156,32 @@ class TestContractedGradient:
         _kernels._polish(theta, target, K, dims)
         assert calls["accepted"] > 0
         assert calls["jacobians"] == calls["accepted"] + 1
+
+
+class TestPolishStopsAtAStall:
+    def test_boundary_minimum(self, monkeypatch):
+        # three labels sampled through a T with zeros: the least-squares
+        # minimum lies on the simplex boundary, where each LM step only
+        # drifts an entry of T towards 0
+        ds = sample_iid_noisy(Prior([0.3, 0.3, 0.4]), asymmetric_T(3, 0.3), 3, 10_000, seed=2)
+        target = empirical_joint(ds)
+        theta = _kernels._descend(np.random.default_rng(2).standard_normal(12), target, 3, (3,))
+        residual_jac, tol = _kernels._residual_jac, _kernels.LM_STALL
+        steps, f = {}, {}
+
+        def counted_jac(*args):
+            steps[stall] += 1
+            return residual_jac(*args)
+
+        monkeypatch.setattr(_kernels, "_residual_jac", counted_jac)
+        for stall in (tol, 0.0):
+            steps[stall] = 0
+            monkeypatch.setattr(_kernels, "LM_STALL", stall)
+            f[stall] = _kernels._polish(theta, target, 3, (3,))[1]
+        # one Jacobian at the start and one per accepted step
+        assert steps[0.0] == _kernels.LM_ITER + 1
+        assert steps[tol] < _kernels.LM_ITER // 4
+        assert f[0.0] <= f[tol] < f[0.0] * (1 + 1e-7)
 
 
 class TestSymmetricKernel:
