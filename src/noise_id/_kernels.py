@@ -113,12 +113,13 @@ def _softmax_jac(P):
     return P[..., :, None] * (_eye(P.shape[-1]) - P[..., None, :])
 
 
-def _khatri_rao_power(T, q):
-    """X[y, (j_1..j_q)] = prod_k T[y, j_k], the row-wise Kronecker product
-    of q >= 1 copies of T, with j_1 the slowest index."""
-    X = T
-    for _ in range(q - 1):
-        X = (X[:, :, None] * T[:, None, :]).reshape(T.shape[0], -1)
+def _khatri_rao(mats):
+    """X[y, (j_1..j_q)] = prod_k mats[k][y, j_k], the row-wise Kronecker
+    product of q >= 1 matrices with one row count, with j_1 the slowest
+    index."""
+    X = mats[0]
+    for M in mats[1:]:
+        X = (X[:, :, None] * M[:, None, :]).reshape(X.shape[0], -1)
     return X
 
 
@@ -132,7 +133,7 @@ def _value(theta, target, K, dims):
     p = target.ndim
     if len(dims) < p:
         T = mats[0]
-        X = _khatri_rao_power(T, p - 1)
+        X = _khatri_rao([T] * (p - 1))
         model = ((w[:, None] * T).T @ X).reshape(target.shape)
     else:
         X = None
@@ -248,30 +249,20 @@ def _polish(theta, target, K, dims):
     return theta, float(f)
 
 
-def _fit(target, K, dims, theta0):
+def fit_general(target, K, dims, theta0):
+    """One local solve from theta0: descent, then the LM polish. dims holds
+    one cardinality per axis, or one K for a factor tied to every axis.
+
+    Returns (squared residual, prior, factor list as in dims).
+    """
     theta = _descend(theta0, target, K, dims)
     theta, f = _polish(theta, target, K, dims)
-    w, mats = _split(theta, K, dims)
-    return theta, f, w, mats
+    return (f, *_split(theta, K, dims))
 
 
-def fit_symmetric(target, K, theta0):
-    """One local solve of the tied-factor problem (a symmetric target) from
-    theta0.
-
-    Returns (theta, squared residual, prior, T).
-    """
-    theta, f, w, mats = _fit(target, K, (K,), theta0)
-    return theta, f, w, mats[0]
-
-
-def fit_general(target, K, dims, theta0):
-    """One local solve of the distinct-factor problem (one cardinality per
-    axis in dims) from theta0.
-
-    Returns (theta, squared residual, prior, factor list).
-    """
-    return _fit(target, K, dims, theta0)
+# the same solve under the name tied fits call, so that a trace times the
+# two kinds apart
+fit_symmetric = fit_general
 
 
 def refine_boundary(target, w, mats):
@@ -324,11 +315,7 @@ def solve(target, K, dims, restarts, seed, n):
     best, per_restart = None, []
     for r in range(restarts):
         theta0 = np.random.default_rng((seed, r)).standard_normal(K + K * sum(dims))
-        if tied:
-            _, f, w, T = fit_symmetric(target, K, theta0)
-            mats = [T]
-        else:
-            _, f, w, mats = fit_general(target, K, dims, theta0)
+        f, w, mats = (fit_symmetric if tied else fit_general)(target, K, dims, theta0)
         if f > tol**2:
             refined = refine_boundary(target, w, mats)
             if refined is not None and refined[0] < f:

@@ -26,7 +26,7 @@ from .errors import (
     SearchExhaustedError,
     ValidationError,
 )
-from .matrices import Prior, Scenario, TransitionMatrix, _as_array
+from .matrices import Prior, Scenario, TransitionMatrix
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -49,10 +49,13 @@ _REQUIRED = object()
 def _located(path):
     """Name the file at path (or files, joined by commas) in any
     ValidationError raised while its document is converted or checked
-    against the others."""
+    against the others; a message that begins with that name already is
+    left as it is."""
     try:
         yield
     except ValidationError as e:
+        if str(e).startswith(str(path)):
+            raise
         raise type(e)(f"{path}: {e}") from None
 
 
@@ -200,14 +203,13 @@ def load_scenario(path) -> ScenarioFile:
 
 
 def load_matrix(path) -> np.ndarray:
-    """The matrix in the JSON file at path (a matrix, or an object whose
-    field T holds one): 2-D with finite entries, or ValidationError naming
-    the file."""
+    """The transition matrix in the JSON file at path (a matrix, or an
+    object whose field T holds one), or ValidationError naming the file."""
     doc = _read_json(path)
     if isinstance(doc, dict) and "T" in doc:
         doc = doc["T"]
     with _located(path):
-        return _as_array(doc)
+        return TransitionMatrix(doc).entries
 
 
 def emit(report: dict, args) -> None:
@@ -280,48 +282,48 @@ def cmd_generate(args) -> int:
     seed = _require_seed(args, sf)
     n = sf.n or 1000
     nm = sf.noise_model
-    if nm["type"] == "instance":
-        if sf.p not in (None, 1):
-            raise ValidationError(
-                f"{sf.path}: field 'p': an instance scenario draws one noisy "
-                f"label per record, got p={sf.p}"
+    with _located(sf.path):
+        if nm["type"] == "instance":
+            if sf.p not in (None, 1):
+                raise ValidationError(
+                    "field 'p': an instance scenario draws one noisy label per "
+                    f"record, got p={sf.p}"
+                )
+            if sf.features is not None:
+                raise ValidationError("field 'features': an instance scenario draws none")
+            rng = np.random.default_rng(seed)
+            x = rng.standard_normal((n, sf.S))
+            y, _ = noisegen.sample_views(sf.prior, [], n, rng)
+            noisy, pvec = noisegen.instance_noise(x, y, sf.eps, sf.K, (seed, 1))
+            ds = NoisyDataset(
+                y=y,
+                noisy=noisy,
+                K=sf.K,
+                x=x,
+                provenance={
+                    "model": "instance",
+                    "eps": sf.eps,
+                    "S": sf.S,
+                    "K": sf.K,
+                    "n": n,
+                    "seed": seed,
+                    "prior": sf.prior.weights.tolist(),
+                },
             )
-        if sf.features is not None:
-            raise ValidationError(f"{sf.path}: field 'features': an instance scenario draws none")
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal((n, sf.S))
-        y, _ = noisegen.sample_views(sf.prior, [], n, rng)
-        noisy, pvec = noisegen.instance_noise(x, y, sf.eps, sf.K, (seed, 1))
-        ds = NoisyDataset(
-            y=y,
-            noisy=noisy,
-            K=sf.K,
-            x=x,
-            provenance={
-                "model": "instance",
-                "eps": sf.eps,
-                "S": sf.S,
-                "K": sf.K,
-                "n": n,
-                "seed": seed,
-                "prior": sf.prior.weights.tolist(),
-            },
-        )
-        ds.to_csv(args.out)
-        if args.emit_rows:
-            rows_path = Path(args.out).with_suffix(".rows.csv")
-            np.savetxt(rows_path, pvec, delimiter=",", fmt="%.17g")
-    else:
-        p = sf.p or 3
-        T = sf.scenario().T
-        if sf.features is None:
-            ds = noisegen.sample_iid_noisy(sf.prior, T, p, n, seed)
         else:
-            # the records draw from their own stream, not the matrices'
-            fm = sf.feature_model(seed)
-            ds = features.sample_with_features(sf.prior, T, fm, n, (seed, 1), p)
-        ds.provenance["noise_model"] = nm
-        ds.to_csv(args.out)
+            p = sf.p or 3
+            T = sf.scenario().T
+            if sf.features is None:
+                ds = noisegen.sample_iid_noisy(sf.prior, T, p, n, seed)
+            else:
+                # the records draw from their own stream, not the matrices'
+                fm = sf.feature_model(seed)
+                ds = features.sample_with_features(sf.prior, T, fm, n, (seed, 1), p)
+            ds.provenance["noise_model"] = nm
+    ds.to_csv(args.out)
+    if nm["type"] == "instance" and args.emit_rows:
+        rows_path = Path(args.out).with_suffix(".rows.csv")
+        np.savetxt(rows_path, pvec, delimiter=",", fmt="%.17g")
     emit(
         {"written": str(args.out), "records": ds.n, "noisy_labels": ds.p, "seed": seed},
         args,
@@ -340,14 +342,15 @@ def cmd_estimate(args) -> int:
             truth = sf.scenario().T.entries
     else:
         ds = NoisyDataset.from_csv(args.source)
-        if args.from_features:
-            result = consensus.fit(
-                features.empirical_three_view(ds), False, args.restarts, seed, ds.n
-            )
-        else:
-            result = consensus.estimate(
-                consensus.empirical_joint(ds), restarts=args.restarts, seed=seed, n=ds.n
-            )
+        with _located(args.source):
+            if args.from_features:
+                result = consensus.fit(
+                    features.empirical_three_view(ds), False, args.restarts, seed, ds.n
+                )
+            else:
+                result = consensus.estimate(
+                    consensus.empirical_joint(ds), restarts=args.restarts, seed=seed, n=ds.n
+                )
     report = {
         "prior": result.scenario.prior.weights.tolist(),
         "T": result.scenario.T.entries.tolist(),

@@ -8,6 +8,7 @@ binary transition matrix is [[1 - e_plus, e_plus], [e_minus, 1 - e_minus]].
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -33,6 +34,7 @@ from .matrices import (
     check_align_k,
     max_trace_permutation,
     _as_array,
+    _check_distributions,
 )
 from .identifiability import is_informative_label
 
@@ -41,21 +43,27 @@ MAX_JOINT_CELLS = 1024
 WITNESS_MIN_DISTANCE = 0.01
 
 
-def _axis_swaps(p):
-    """The pairs (i, k), i < k, of the axes of an order-p tensor, grouped by
-    k. Group k with the identity holds one representative of each coset of
-    the orders of axes 0..k-1 among the orders of axes 0..k, so composing one
-    entry (or the identity) from every group gives each of the p! axis orders
-    exactly once."""
-    return [[(i, k) for i in range(k)] for k in range(1, p)]
+@functools.cache
+def _orbits(shape):
+    """The orbit map of a tensor of the given shape, every axis K long: for
+    each cell in C order, its orbit, named by the flat index of the orbit's
+    sorted cell, and the orbit's size; an orbit is the cells whose indices
+    form the same multiset. Made once per shape; read-only."""
+    cells = np.indices(shape).reshape(len(shape), math.prod(shape))
+    orbit = np.ravel_multi_index(tuple(np.sort(cells, axis=0)), shape).reshape(-1)
+    size = np.bincount(orbit)[orbit]
+    orbit.setflags(write=False)
+    size.setflags(write=False)
+    return orbit, size
 
 
-def _symmetry_defect(v) -> float:
-    """The largest change that swapping two axes makes to any cell of v: 0
-    exactly when v is symmetric, since the swaps generate every order of
-    the axes."""
-    swaps = [ik for group in _axis_swaps(v.ndim) for ik in group]
-    return max((float(np.abs(v - np.swapaxes(v, i, k)).max()) for i, k in swaps), default=0.0)
+def _symmetric_part(t, n=1):
+    """The symmetric part of t divided by n: every cell becomes the sum of
+    its orbit (see `_orbits`) over the orbit size times n, which is its
+    mean over the p! orders of the axes, divided by n. The quotient is
+    rounded once, so integer counts give each frequency correctly rounded."""
+    orbit, size = _orbits(t.shape)
+    return (np.bincount(orbit, weights=np.ravel(t))[orbit] / (size * n)).reshape(t.shape)
 
 
 def _frozen(v) -> np.ndarray:
@@ -63,14 +71,6 @@ def _frozen(v) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     v.setflags(write=False)
     return v
-
-
-def _sum_over_axis_orders(s):
-    """The sum of s over all p! orders of its axes, from O(p^2) swaps (see
-    `_axis_swaps`); exact on integer counts."""
-    for group in _axis_swaps(s.ndim):
-        s = s + sum(np.swapaxes(s, i, k) for i, k in group)
-    return s
 
 
 def _check_cells(dims):
@@ -114,14 +114,14 @@ def counts(columns, dims, n) -> np.ndarray:
 
 def empirical_joint(ds: NoisyDataset) -> np.ndarray:
     """Frequency tensor of the noisy-label p-tuples, a read-only array
-    symmetrized by averaging over axis orders (valid for i.i.d. labels): the
-    counts are summed over all p! orders and divided once. The joint of
-    p = 0 labels is the scalar 1. Raises CapabilityError above
-    MAX_JOINT_CELLS cells."""
+    symmetrized by averaging over axis orders (valid for i.i.d. labels):
+    each cell is the count of its orbit divided once, by the orbit size
+    times n. The joint of p = 0 labels is the scalar 1. Raises
+    CapabilityError above MAX_JOINT_CELLS cells."""
     if ds.n == 0:
         raise ValidationError("empty dataset")
     c = counts(tuple((ds.noisy - 1).T), (ds.K,) * ds.p, ds.n)
-    return _frozen(_sum_over_axis_orders(c) / (math.factorial(ds.p) * ds.n))
+    return _frozen(_symmetric_part(c, ds.n))
 
 
 @dataclass(frozen=True)
@@ -186,19 +186,15 @@ def fit(target, tied, restarts=20, seed=0, n=math.inf) -> EstimateResult:
     and `converged` says whether a restart reached the sampling noise of n
     records (if not, the best fit comes with a ConvergenceWarning).
 
-    Every target is checked here, before any fit: a finite probability
-    tensor (entries >= -1e-12, sum 1 within 1e-9) with K >= 2 and, when
-    tied, every axis K long and a symmetry defect (`_symmetry_defect`) of
-    at most SYMMETRY_TOL, or ValidationError; K above MAX_ALIGN_K raises
-    CapabilityError. restarts must be an integer >= 1, or ValidationError.
+    Every target is checked here, before any fit: its cells form one
+    distribution (`matrices._check_distributions`: finite, >= -1e-9, sum 1
+    within 1e-9), K >= 2 and, when tied, every axis is K long and no cell
+    is more than SYMMETRY_TOL from its orbit mean, or ValidationError; K
+    above MAX_ALIGN_K raises CapabilityError. restarts must be an integer
+    >= 1, or ValidationError.
     """
     target = np.ascontiguousarray(target, dtype=np.float64)
-    if not np.isfinite(target).all():
-        raise ValidationError("target tensor contains non-finite entries")
-    if (target < -1e-12).any():
-        raise ValidationError("target tensor values must be >= 0")
-    if abs(target.sum() - 1.0) > 1e-9:
-        raise ValidationError(f"target tensor sums to {float(target.sum())!r}, not 1")
+    _check_distributions(target.ravel(), "target tensor")
     K = target.shape[-1]
     if K < 2:
         raise ValidationError(f"fit requires K >= 2 hidden classes, got K={K}")
@@ -206,13 +202,14 @@ def fit(target, tied, restarts=20, seed=0, n=math.inf) -> EstimateResult:
     if tied:
         if target.shape != square:
             raise ValidationError(f"target tensor has shape {target.shape}, expected {square}")
-        defect = _symmetry_defect(target)
+        sym = _symmetric_part(target)
+        defect = float(np.abs(target - sym).max())
         if defect > SYMMETRY_TOL:
             raise ValidationError(
                 f"tensor is not symmetric (defect {defect:.3g}); symmetrize first"
             )
         # the tied fit's matrix-form gradient needs a symmetric residual
-        target = _sum_over_axis_orders(target) / math.factorial(target.ndim)
+        target = sym
     check_align_k(K, "fit")
     if isinstance(restarts, bool) or not isinstance(restarts, (int, np.integer)) or restarts < 1:
         raise ValidationError(f"restarts must be an integer >= 1, got {restarts!r}")

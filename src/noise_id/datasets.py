@@ -137,7 +137,10 @@ class NoisyDataset:
             provenance = {"model": "unknown", "source": str(path)}
         hi = int(max(y.max(initial=1), noisy.max(initial=1)))
         K = max(provenance.get("K", hi), hi)
-        return cls(y=y, noisy=noisy, K=K, provenance=provenance, x=x, r=r)
+        try:
+            return cls(y=y, noisy=noisy, K=K, provenance=provenance, x=x, r=r)
+        except ValidationError as e:
+            raise ValidationError(f"{path}: {e}") from None
 
 
 def _read_json(path):

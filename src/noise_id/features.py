@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._kernels import _khatri_rao
 from .consensus import counts
 from .datasets import NoisyDataset
 from .errors import CapabilityError, DimensionError, SearchExhaustedError, ValidationError
@@ -98,14 +99,8 @@ def group_meta_features(fm: ObservationModel, split) -> tuple[ObsMatrix, ObsMatr
         raise ValidationError("both sides of the split must be nonempty")
     if set(g1) & set(g2) or set(g1) | set(g2) != set(range(fm.p)):
         raise ValidationError("split must partition the feature indices")
-    metas = []
-    for side in (g1, g2):
-        M = np.ones((fm.K, 1))
-        for i in side:
-            member = fm.models[i].entries
-            M = (M[:, :, None] * member[:, None, :]).reshape(fm.K, -1)
-        metas.append(ObsMatrix(M))
-    return metas[0], metas[1]
+    metas = (_khatri_rao([fm.models[i].entries for i in side]) for side in (g1, g2))
+    return tuple(map(ObsMatrix, metas))
 
 
 def empirical_three_view(ds: NoisyDataset) -> np.ndarray:

@@ -36,14 +36,19 @@ def _as_array(m, what="matrix") -> np.ndarray:
     return a
 
 
-def _check_row_stochastic(a: np.ndarray, what: str) -> None:
-    if (a < -ROW_SUM_TOL).any() or (a > 1 + ROW_SUM_TOL).any():
-        raise ValidationError(f"{what} has entries outside [0, 1]")
-    sums = a.sum(axis=1)
-    bad = np.abs(sums - 1.0) > ROW_SUM_TOL
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValidationError(f"{what} row {i} sums to {float(sums[i])!r}, not 1")
+def _check_distributions(a: np.ndarray, what: str) -> None:
+    """Refuse a unless it holds probability distributions: every entry
+    finite and >= -ROW_SUM_TOL, and every last-axis row (a 1-D a is one
+    row) summing to 1 within ROW_SUM_TOL."""
+    if not np.isfinite(a).all():
+        raise ValidationError(f"{what} contains non-finite entries")
+    if (a < -ROW_SUM_TOL).any():
+        raise ValidationError(f"{what} entries must be >= 0, got {float(a.min())!r}")
+    sums = a.sum(axis=-1)
+    bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)
+    if bad.size:
+        row = f" row {bad[0]}" if a.ndim > 1 else ""
+        raise ValidationError(f"{what}{row} sums to {float(sums.flat[bad[0]])!r}, not 1")
 
 
 @dataclass(frozen=True)
@@ -56,7 +61,7 @@ class ObsMatrix:
 
     def __post_init__(self):
         a = _as_array(self.entries, self._what)
-        _check_row_stochastic(a, self._what)
+        _check_distributions(a, self._what)
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
@@ -95,10 +100,7 @@ class Prior:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.ndim != 1:
             raise ValidationError("prior must be a 1-D vector")
-        if not np.isfinite(w).all() or (w < 0).any():
-            raise ValidationError("prior entries must be finite and >= 0")
-        if abs(w.sum() - 1.0) > ROW_SUM_TOL:
-            raise ValidationError(f"prior sums to {float(w.sum())!r}, not 1")
+        _check_distributions(w, "prior")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 

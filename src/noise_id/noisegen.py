@@ -14,7 +14,7 @@ import numpy as np
 
 from .datasets import ROW_BLOCK, NoisyDataset
 from .errors import ValidationError
-from .matrices import Prior, TransitionMatrix
+from .matrices import Prior, TransitionMatrix, _check_distributions
 
 TRUNCNORM_SD = 0.1
 
@@ -160,8 +160,7 @@ def part_dependent_T(weights, parts) -> TransitionMatrix:
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (len(parts),):
         raise ValidationError(f"weights must have length {len(parts)}, got {w.shape}")
-    if (w < -1e-9).any() or abs(w.sum() - 1.0) > 1e-9:
-        raise ValidationError("weights must lie on the simplex (tolerance 1e-9)")
+    _check_distributions(w, "weight vector")
     stack = np.stack([p.entries for p in parts])
     return TransitionMatrix(np.tensordot(w, stack, axes=1))
 
@@ -193,8 +192,7 @@ class UnstructuredParams:
         lp = np.asarray(self.label_probs, dtype=np.float64)
         if lp.ndim != 2:
             raise ValidationError("label_probs must be (num_points, K)")
-        if not ((lp >= 0).all() and (np.abs(lp.sum(axis=1) - 1.0) <= 1e-9).all()):
-            raise ValidationError("label_probs rows must be distributions")
+        _check_distributions(lp, "label_probs")
         if lp.shape[1] != self.T.K:
             raise ValidationError("label_probs and T disagree on K")
         lp.setflags(write=False)

@@ -460,7 +460,7 @@ class TestSimulate2nn:
          ("N", 2, "'N': must be >= 3, got 2"),
          ("lambda", "abc", "'lambda'"),
          ("extra", 1, "unknown fields ['extra']"),
-         ("label_probs", [[float("nan"), 1], [0, 1]], "label_probs rows must be distributions"),
+         ("label_probs", [[float("nan"), 1], [0, 1]], "label_probs contains non-finite entries"),
          ("lambda", [1.0, float("nan")], "lambda must be"),
          ("epsilon_close", float("nan"), "epsilon_close must be >= 0")],
         ids=["N-float", "N-small", "lambda-word", "unknown-field", "label-probs-nan",
@@ -500,6 +500,12 @@ class TestBound:
     def test_missing_file_exit_2(self, tmp_path):
         t1 = write(tmp_path, "t1.json", [[1, 0], [0, 1]])
         assert main(["bound", t1, t1, str(tmp_path / "nope.json")]) == EXIT_VALIDATION
+
+    def test_matrices_must_be_transition_matrices(self, tmp_path, capsys):
+        t1 = write(tmp_path, "t1.json", [[1, 0], [0, 1]])
+        bad = write(tmp_path, "bad.json", [[2, 0], [0, 1]])
+        assert main(["bound", t1, bad, t1]) == EXIT_VALIDATION
+        assert f"{bad}: transition matrix row 0 sums to 2.0, not 1" in capsys.readouterr().err
 
 
 class TestNonFiniteMatrices:
@@ -546,6 +552,7 @@ class TestMatrixFileProperty:
     @example([[10**400, 0.5], [0.5, 0.5]])
     @example({"T": [[0.5, 0.5], [0.5]]})
     @example([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]])
+    @example({"T": [[0.0, 0.0], [0.0, 1.3407807929942597e154]]})  # once overflowed the norms
     @settings(max_examples=60, deadline=None)
     def test_exits_0_or_2_naming_the_file(self, doc):
         with tempfile.TemporaryDirectory() as tmp:
@@ -677,6 +684,25 @@ class TestMalformedInput:
             ("utf8.json",
              '[[1, 0], [0, 1]]\udcff',
              ["bound", "{path}", "{good}", "{good}"], "text that is not UTF-8"),
+            ("inst_eps_nan.json",
+             '{"K": 3, "noise_model": {"type": "instance", "eps": NaN}, "n": 10}',
+             ["generate", "{path}", "-o", "{out}"], "eps must lie in [0, 1]"),
+            ("inst_eps_big.json",
+             '{"K": 3, "noise_model": {"type": "instance", "eps": 1.5}, "n": 10}',
+             ["generate", "{path}", "-o", "{out}"], "eps must lie in [0, 1]"),
+            ("part_nan.json",
+             '{"K": 2, "noise_model": {"type": "part_dependent", '
+             '"parts": [[[1, 0], [0, 1]]], "weights": [NaN]}}',
+             ["check", "{path}"], "weight vector contains non-finite entries"),
+            ("r_zero.csv",
+             "r_1,r_2,y,ytilde_1\n0,1,1,1\n1,2,2,2\n",
+             ["estimate", "{path}", "--from-features"], "feature values must be >= 1"),
+            ("label_zero.csv",
+             "y,ytilde_1,ytilde_2,ytilde_3\n1,0,2,1\n2,1,2,2\n",
+             ["estimate", "{path}"], "noisy labels must lie in 1..2"),
+            ("y_zero.csv",
+             "y,ytilde_1,ytilde_2,ytilde_3\n0,1,1,1\n",
+             ["estimate", "{path}"], "y labels must lie in 1..1"),
         ],
         ids=["missing-eps", "K-not-integer", "csv-cell", "csv-int64-overflow",
              "csv-header-only", "csv-not-utf8", "instance-p", "instance-features",
@@ -687,7 +713,9 @@ class TestMalformedInput:
              "n-float", "p-float", "K-bool", "d-star-negative", "group-count-float",
              "min-kruskal-negative", "cardinalities-count-generic",
              "cardinalities-count-group", "cardinality-below-2", "T-row-sum",
-             "prior-sum", "asymmetric-eps", "bound-nan", "bound-shape", "json-not-utf8"],
+             "prior-sum", "asymmetric-eps", "bound-nan", "bound-shape", "json-not-utf8",
+             "instance-eps-nan", "instance-eps-big", "part-weights-nan", "features-r-zero",
+             "csv-label-zero", "csv-y-zero"],
     )
     def test_exits_2_naming_the_file(self, tmp_path, name, text, argv, located):
         path = tmp_path / name

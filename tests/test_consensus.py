@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 import tracemalloc
@@ -101,6 +102,21 @@ class TestFitChecksTheTarget:
         with pytest.raises(ValidationError, match="not symmetric"):
             fit(v, True)
 
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    def test_refuses_a_skew_under_any_transposition(self, p):
+        # mass moved between two cells that the swap of axes i and k
+        # exchanges leaves their orbit mean as it was, so the defect is the
+        # mass moved
+        for i, k in itertools.combinations(range(p), 2):
+            v = np.full((2,) * p, 0.5**p)
+            cell = [0] * p
+            cell[k] = 1
+            v[tuple(cell)] += 2 * consensus.SYMMETRY_TOL
+            cell[i], cell[k] = 1, 0
+            v[tuple(cell)] -= 2 * consensus.SYMMETRY_TOL
+            with pytest.raises(ValidationError, match=r"not symmetric \(defect 2e-06\)"):
+                fit(v, True)
+
 
 class TestJointArrays:
     def test_read_only_float64_results(self):
@@ -109,13 +125,21 @@ class TestJointArrays:
         for joint in (exact_joint(s.prior, [s.T] * 3), empirical_joint(ds)):
             assert joint.dtype == np.float64 and not joint.flags.writeable
 
-    @pytest.mark.parametrize("p", [2, 3, 4, 5])
-    def test_symmetry_defect_sees_every_swap(self, p):
-        assert consensus._symmetry_defect(np.full((2,) * p, 0.5**p)) == 0.0
-        for cell in range(1, 2**p - 1):
-            v = np.zeros(2**p)
-            v[cell] = 1.0
-            assert consensus._symmetry_defect(v.reshape((2,) * p)) == 1.0
+    @pytest.mark.parametrize("p", [0, 1, 2, 3, 4, 5])
+    def test_symmetric_part_is_the_mean_over_axis_orders(self, p):
+        t = np.random.default_rng(p).uniform(size=(3,) * p)
+        want = permutation_sum(t) / math.factorial(p)
+        np.testing.assert_allclose(consensus._symmetric_part(t), want, rtol=1e-14, atol=0)
+
+    def test_symmetric_part_of_ten_binary_axes(self):
+        # 10! transposes take about a minute; at K=2 a cell's orbit is the
+        # cells with as many 1s among their indices
+        t = np.random.default_rng(10).uniform(size=(2,) * 10)
+        ones = np.indices(t.shape).sum(axis=0)
+        want = np.zeros_like(t)
+        for m in range(11):
+            want[ones == m] = t[ones == m].mean()
+        np.testing.assert_allclose(consensus._symmetric_part(t), want, rtol=1e-14, atol=0)
 
 
 class TestExactJoint:
@@ -178,13 +202,20 @@ class TestEmpiricalJoint:
             Prior([0.6, 0.4]), asymmetric_T(2, 0.2), p=3, n=500, seed=0
         )
         t = empirical_joint(ds)
-        assert consensus._symmetry_defect(t) == 0.0
+        # the cells of an orbit share one value, to the bit
+        for perm in itertools.permutations(range(3)):
+            np.testing.assert_array_equal(np.transpose(t, perm), t)
+        np.testing.assert_allclose(consensus._symmetric_part(t), t, rtol=1e-15, atol=0)
 
-    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
-    def test_axis_order_sum_equals_permutation_loop(self, p):
-        counts = np.random.default_rng(p).integers(0, 1000, size=(3,) * p)
-        got = consensus._sum_over_axis_orders(counts)
-        np.testing.assert_array_equal(got, permutation_sum(counts))
+    @pytest.mark.parametrize("K, p", [(2, 1), (2, 3), (3, 3), (3, 4), (2, 6), (4, 5)])
+    def test_equals_the_permutation_sum_to_the_bit(self, K, p):
+        # the orbit sum over orbit size times n is the same rational as the
+        # sum over all p! axis orders over p! times n, rounded once
+        ds = sample_iid_noisy(Prior(np.full(K, 1 / K)), asymmetric_T(K, 0.3), p, 3000, K + p)
+        c = np.zeros((K,) * p)
+        np.add.at(c, tuple((ds.noisy - 1).T), 1)
+        want = permutation_sum(c) / (math.factorial(p) * ds.n)
+        assert empirical_joint(ds).tobytes() == want.tobytes()
 
     def test_four_labels_counted_and_symmetrized(self):
         ds = sample_iid_noisy(
@@ -194,9 +225,7 @@ class TestEmpiricalJoint:
         for row in ds.noisy - 1:
             counts[tuple(row)] += 1
         want = permutation_sum(counts) / (math.factorial(4) * ds.n)
-        t = empirical_joint(ds)
-        assert consensus._symmetry_defect(t) == 0.0
-        np.testing.assert_allclose(t, want, rtol=1e-15, atol=0)
+        np.testing.assert_array_equal(empirical_joint(ds), want)
 
     def test_no_labels(self):
         # the joint of no labels is the scalar 1; estimate refuses it for
@@ -363,7 +392,7 @@ class TestEstimate:
         joint = exact_joint(Prior([0.25, 0.35, 0.4]), [T] * 3)
         E = np.random.default_rng(3).uniform(size=joint.shape)
         skewed = joint + 1e-8 * (E - np.swapaxes(E, 0, 1))
-        assert consensus._symmetry_defect(skewed) > 1e-9
+        assert np.abs(skewed - np.swapaxes(skewed, 0, 1)).max() > 1e-9
         a = fit(skewed, True, seed=2)
         b = fit(permutation_sum(joint) / 6, True, seed=2)
         assert a.converged and b.converged

@@ -217,7 +217,7 @@ class TestSymmetricKernel:
         K = 2
         target = sym_target(K, 6)
         rng = np.random.default_rng(7)
-        _, f, w, T = _kernels.fit_symmetric(target, K, rng.standard_normal(K + K * K))
+        f, w, (T,) = _kernels.fit_symmetric(target, K, (K,), rng.standard_normal(K + K * K))
         assert f < 1e-20
         np.testing.assert_allclose(T.sum(axis=1), 1.0, atol=1e-12)
         assert w.sum() == pytest.approx(1.0)
@@ -244,7 +244,7 @@ class TestGeneralKernel:
         w = rng.dirichlet(np.ones(K))
         mats = [rng.dirichlet(np.ones(d), size=K) for d in dims]
         target = np.einsum("y,ya,yb,yc->abc", w, *mats)
-        _, f, w2, mats2 = _kernels.fit_general(
+        f, w2, mats2 = _kernels.fit_general(
             target, K, dims, rng.standard_normal(K + K * sum(dims))
         )
         model = np.einsum("y,ya,yb,yc->abc", w2, *mats2)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from noise_id.consensus import fit
 from noise_id.errors import CapabilityError, DimensionError, ValidationError
 from noise_id.identifiability import ObservationModel
 from noise_id.matrices import (
@@ -16,6 +17,7 @@ from noise_id.matrices import (
     kruskal_rank,
     max_trace_permutation,
 )
+from noise_id.noisegen import UnstructuredParams, part_dependent_T
 
 from .oracles import brute_force_kruskal
 
@@ -91,6 +93,46 @@ class TestTypes:
             ObsMatrix([["a", 0.5], [0.5, 0.5]])
         with pytest.raises(ValidationError, match="matrix is not numeric"):
             kruskal_rank([[1.0], [1.0, 0.0]])
+
+
+def _diagonal_target(row):
+    """A tied order-3 target with row on its two all-equal cells."""
+    t = np.zeros((2, 2, 2))
+    t[0, 0, 0], t[1, 1, 1] = row
+    return t
+
+
+# every input that must hold probability distributions, fed one bad row
+DISTRIBUTION_INPUTS = {
+    "obs-matrix": lambda row: ObsMatrix([row, [0.5, 0.5]]),
+    "prior": Prior,
+    "part-weights": lambda row: part_dependent_T(row, (np.eye(2), np.eye(2))),
+    "label-probs": lambda row: UnstructuredParams(
+        lam=(1.0,), N=10, epsilon_close=0.0, label_probs=[row, [0.0, 1.0]],
+        T=TransitionMatrix(np.eye(2)),
+    ),
+    "fit-target": lambda row: fit(_diagonal_target(row), True),
+}
+
+
+@pytest.mark.parametrize("caller", DISTRIBUTION_INPUTS)
+@pytest.mark.parametrize(
+    "row, message",
+    [([np.nan, 1.0], "contains non-finite entries"),
+     ([1 + 1e-8, -1e-8], "entries must be >= 0, got -1e-08"),
+     ([0.5, 0.6], "sums to 1.1, not 1")],
+    ids=["nan", "negative", "sum"],
+)
+def test_every_distribution_input_is_checked_alike(caller, row, message):
+    with pytest.raises(ValidationError, match=message):
+        DISTRIBUTION_INPUTS[caller](row)
+
+
+def test_distribution_tolerance_is_row_sum_tol():
+    # within ROW_SUM_TOL below 0 and off 1 is a distribution, for the prior
+    # as for the rest
+    assert Prior([1 + 5e-10, -5e-10]).K == 2
+    assert Prior([0.5, 0.5 + 5e-10]).K == 2
 
 
 class TestKruskalRank:
