@@ -1,16 +1,16 @@
 """The latent-class model behind every fit, and its moment-matching solver.
 
-An order-p tensor is modelled as sum_y w[y] * F_1[y] (x) ... (x) F_p[y] for a
-prior w and p row-stochastic factor matrices (`forward`). The factors are
-either tied (one factor T on every axis, p i.i.d. noisy labels) or distinct
-(one factor per axis, e.g. two features plus one noisy label); the number of
-factors given says which. The prior and each factor row are parameterised by
-softmax logits. For both cases and any p, `_value` gives the squared
+A tensor is modelled as sum_y w[y] * F_1[y] (x) ... (x) F_p[y] for a prior w
+and p row-stochastic factor matrices (`forward`, for any p). Every fit is of
+order 3: the factors are either tied (one factor T on every axis, noisy
+labels) or distinct (one factor per axis, e.g. two features plus one noisy
+label); the number of factors given says which. The prior and each factor
+row are parameterised by softmax logits. `_value` gives the squared
 residual, `_grad` its gradient 2 J^T r by contracting the residual tensor
 with the factors, and `_residual_jac` the residual and its Jacobian J with
 respect to those logits. A tied fit takes matrix form: its model is one
-product of the weighted factor with X, the Khatri-Rao power of the factor
-over the other p - 1 axes, and its gradient one product of X with the
+product of the weighted factor with X, the Khatri-Rao square of the factor
+over the other two axes, and its gradient one product of X with the
 residual, which is exact because a tied target is symmetric (the caller
 symmetrizes it) and so is the residual.
 
@@ -51,33 +51,22 @@ LM_STALL = 1e-10
 BOUNDARY_TOL = 1e-5
 RESIDUAL_FLOOR = 1e-10
 
-# einsum letters for the observed axes; y is the hidden state, z and i index
-# the prior and factor logits
-_AXES = "abcdefghjklmnopqrstuvwx"
-
-
-@functools.cache
-def _specs(p):
-    """einsum subscripts of the order-p model, of its derivative in the prior
-    and in the factor of each axis, and of the contraction of a residual
-    tensor with every factor but that of axis k (for `_grad`), built once
-    per p."""
-    ax = _AXES[:p]
-    ops = ["y" + a for a in ax]
-    return (
-        "y," + ",".join(ops) + "->" + ax,
-        "yz," + ",".join(ops) + "->" + ax + "z",
-        tuple(
-            ",".join([ops[k] + "i", "y", *ops[:k], *ops[k + 1 :]]) + "->" + ax + "yi"
-            for k in range(p)
-        ),
-        tuple(",".join([ax, *ops[:k], *ops[k + 1 :]]) + "->" + ops[k] for k in range(p)),
-    )
+# einsum subscripts of the order-3 model, of its derivative in the prior and
+# in the factor of each axis, and of the contraction of a residual tensor with
+# every factor but that of axis k (for `_grad`): a, b and c are the observed
+# axes, y the hidden state, and z and i index the prior and factor logits
+_MODEL_SPEC = "y,ya,yb,yc->abc"
+_PRIOR_SPEC = "yz,ya,yb,yc->abcz"
+_FACTOR_SPECS = ("yai,y,yb,yc->abcyi", "ybi,y,ya,yc->abcyi", "yci,y,ya,yb->abcyi")
+_CONTRACT_SPECS = ("abc,yb,yc->ya", "abc,ya,yc->yb", "abc,ya,yb->yc")
 
 
 def forward(w, factors):
-    """The latent-class tensor sum_y w[y] * prod_k factors[k][y, j_k]."""
-    return np.einsum(_specs(len(factors))[0], w, *factors)
+    """The latent-class tensor sum_y w[y] * prod_k factors[k][y, j_k], for
+    any number of factors: label 0 is the hidden state, label k + 1 the
+    axis of factor k."""
+    ops = [x for k, M in enumerate(factors) for x in (M, [0, k + 1])]
+    return np.einsum(w, [0], *ops, range(1, len(factors) + 1))
 
 
 def _softmax(x):
@@ -124,48 +113,46 @@ def _khatri_rao(mats):
 
 
 def _value(theta, target, K, dims):
-    """Squared residual at theta, and the state (residual tensor, prior,
-    factor list as in dims, X) from which `_grad` and `_residual_jac` go on
-    at the same point. A tied model is one matrix product: the weighted
-    factor of axis 0 against X, the Khatri-Rao power of the factor over the
-    other p - 1 axes; X is None for distinct factors."""
+    """Squared residual at theta against an order-3 target, and the state
+    (residual tensor, prior, factor list as in dims, X) from which `_grad`
+    and `_residual_jac` go on at the same point. A tied model is one matrix
+    product: the weighted factor of axis 0 against X, the Khatri-Rao square
+    of the factor over the other two axes; X is None for distinct factors."""
     w, mats = _split(theta, K, dims)
-    p = target.ndim
-    if len(dims) < p:
+    if len(dims) == 1:
         T = mats[0]
-        X = _khatri_rao([T] * (p - 1))
+        X = _khatri_rao([T, T])
         model = ((w[:, None] * T).T @ X).reshape(target.shape)
     else:
         X = None
-        model = forward(w, mats)
+        model = np.einsum(_MODEL_SPEC, w, *mats)
     R = model - target
     r = R.ravel()
     return r @ r, (R, w, mats, X)
 
 
 def _residual_jac(theta, target, K, dims):
-    """Residual (model - target, flattened) and its Jacobian wrt theta.
+    """Residual (model - target, flattened) and its Jacobian wrt theta, for
+    an order-3 target.
 
-    The order p is target.ndim. One entry in dims ties the factor: the same
-    matrix on all p axes, so its Jacobian is the sum of the p axis blocks.
-    Otherwise dims holds one cardinality per axis.
+    One entry in dims ties the factor: the same matrix on all three axes,
+    so its Jacobian is the sum of the three axis blocks. Otherwise dims
+    holds one cardinality per axis.
     """
-    p = target.ndim
-    _, prior_spec, factor_specs, _ = _specs(p)
     _, (R, w, mats, _) = _value(theta, target, K, dims)
     S = [_softmax_jac(M) for M in mats]
-    tied = len(dims) < p
+    tied = len(dims) == 1
     if tied:
-        mats, S = mats * p, S * p
+        mats, S = mats * 3, S * 3
     r = R.ravel()
     n = r.size
     blocks = [
         np.einsum(spec, S[k], w, *mats[:k], *mats[k + 1 :]).reshape(n, -1)
-        for k, spec in enumerate(factor_specs)
+        for k, spec in enumerate(_FACTOR_SPECS)
     ]
     if tied:
         blocks = [sum(blocks[1:], blocks[0])]
-    prior = np.einsum(prior_spec, _softmax_jac(w), *mats).reshape(n, K)
+    prior = np.einsum(_PRIOR_SPEC, _softmax_jac(w), *mats).reshape(n, K)
     return r, np.concatenate([prior, *blocks], axis=1)
 
 
@@ -177,15 +164,14 @@ def _grad(state):
     <R, (x)_k M_k[y]> = sum_j E_k[y, j] M_k[y, j]; both then go through the
     softmax chain rule. A tied fit's R is symmetric, so every E_k is the
     one matrix product E_0 = X R_(0)^T and its factor gradient is
-    p * w[y] * E_0[y]."""
+    3 * w[y] * E_0[y]."""
     R, w, mats, X = state
-    p = R.ndim
     if X is not None:
         E0 = X @ R.reshape(X.shape[0], -1).T
         gw = (E0 * mats[0]).sum(axis=1)
-        G = [p * w[:, None] * E0]
+        G = [3 * w[:, None] * E0]
     else:
-        E = [np.einsum(spec, R, *mats[:k], *mats[k + 1 :]) for k, spec in enumerate(_specs(p)[3])]
+        E = [np.einsum(spec, R, *mats[:k], *mats[k + 1 :]) for k, spec in enumerate(_CONTRACT_SPECS)]
         gw = (E[-1] * mats[-1]).sum(axis=1)
         G = [w[:, None] * e for e in E]
     parts = [w * (gw - gw @ w)]
@@ -297,7 +283,7 @@ def refine_boundary(target, w, mats):
 
 
 def solve(target, K, dims, restarts, seed, n):
-    """Multi-start fit of a prior and factors to an order-p tensor estimated
+    """Multi-start fit of a prior and factors to an order-3 tensor estimated
     from n records (n = inf for an exact tensor). dims = (K,) fits one tied
     factor to a symmetric target; one cardinality per axis fits distinct
     factors.
@@ -311,7 +297,7 @@ def solve(target, K, dims, restarts, seed, n):
     (the best is at or below tol).
     """
     tol = max(math.sqrt(max(1.0 - float(np.sum(target**2)), 0.0) / n), RESIDUAL_FLOOR)
-    tied = len(dims) < target.ndim
+    tied = len(dims) == 1
     best, per_restart = None, []
     for r in range(restarts):
         theta0 = np.random.default_rng((seed, r)).standard_normal(K + K * sum(dims))

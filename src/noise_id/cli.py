@@ -336,7 +336,8 @@ def cmd_estimate(args) -> int:
     truth = load_matrix(args.truth) if args.truth else None
     if args.exact:
         sf = load_scenario(args.source)
-        joint = consensus.exact_joint(sf.prior, [sf.scenario().T] * (sf.p or 3))
+        # the three-label moment of any p >= 3 labels is their order-3 joint
+        joint = consensus.exact_joint(sf.prior, [sf.scenario().T] * min(sf.p or 3, 3))
         result = consensus.estimate(joint, restarts=args.restarts, seed=seed)
         if truth is None:
             truth = sf.scenario().T.entries

@@ -9,6 +9,7 @@ binary transition matrix is [[1 - e_plus, e_plus], [e_minus, 1 - e_minus]].
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -113,15 +114,19 @@ def counts(columns, dims, n) -> np.ndarray:
 
 
 def empirical_joint(ds: NoisyDataset) -> np.ndarray:
-    """Frequency tensor of the noisy-label p-tuples, a read-only array
-    symmetrized by averaging over axis orders (valid for i.i.d. labels):
-    each cell is the count of its orbit divided once, by the orbit size
-    times n. The joint of p = 0 labels is the scalar 1. Raises
-    CapabilityError above MAX_JOINT_CELLS cells."""
+    """The three-label moment of the p noisy labels per record, a read-only
+    array of order min(p, 3): the frequency of ordered triples of distinct
+    labels within a record (of the p-tuples when p <= 3), symmetrized for
+    i.i.d. labels. It sums the count tensors of every three label columns
+    and divides each orbit's count once, by its size times n * C(p, 3). The
+    joint of p = 0 labels is the scalar 1. Raises CapabilityError above
+    MAX_JOINT_CELLS cells."""
     if ds.n == 0:
         raise ValidationError("empty dataset")
-    c = counts(tuple((ds.noisy - 1).T), (ds.K,) * ds.p, ds.n)
-    return _frozen(_symmetric_part(c, ds.n))
+    order = min(ds.p, 3)
+    column_sets = itertools.combinations((ds.noisy - 1).T, order)
+    c = sum(counts(cols, (ds.K,) * order, ds.n) for cols in column_sets)
+    return _frozen(_symmetric_part(c, ds.n * math.comb(ds.p, order)))
 
 
 @dataclass(frozen=True)
@@ -176,8 +181,9 @@ def fit(target, tied, restarts=20, seed=0, n=math.inf) -> EstimateResult:
     tied fit puts one K x K factor on every axis and fits the symmetric
     part of the target, its mean over the p! orders of its axes (a
     symmetric model is as far from a tensor as from its symmetric part,
-    plus a constant, so this moves neither the minimum nor the gradient);
-    otherwise axis k gets its own K x target.shape[k] factor.
+    plus a constant, so this moves neither the minimum nor the gradient),
+    summed over every axis after the third; otherwise the target has three
+    axes, and axis k gets its own K x target.shape[k] factor.
 
     The last factor is the noisy label's transition matrix; the hidden
     states are ordered to maximize its trace (diagonal dominance), and the
@@ -188,13 +194,16 @@ def fit(target, tied, restarts=20, seed=0, n=math.inf) -> EstimateResult:
 
     Every target is checked here, before any fit: its cells form one
     distribution (`matrices._check_distributions`: finite, >= -1e-9, sum 1
-    within 1e-9), K >= 2 and, when tied, every axis is K long and no cell
-    is more than SYMMETRY_TOL from its orbit mean, or ValidationError; K
-    above MAX_ALIGN_K raises CapabilityError. restarts must be an integer
-    >= 1, or ValidationError.
+    within 1e-9), it has three axes (or more, when tied), K >= 2 and, when
+    tied, every axis is K long and no cell is more than SYMMETRY_TOL from
+    its orbit mean, or ValidationError; K above MAX_ALIGN_K raises
+    CapabilityError. restarts must be an integer >= 1, or ValidationError.
     """
-    target = np.ascontiguousarray(target, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
     _check_distributions(target.ravel(), "target tensor")
+    if target.ndim != 3 and not (tied and target.ndim > 3):
+        more = " or more" if tied else ""
+        raise ValidationError(f"fit needs three axes{more}, got a target of order {target.ndim}")
     K = target.shape[-1]
     if K < 2:
         raise ValidationError(f"fit requires K >= 2 hidden classes, got K={K}")
@@ -208,8 +217,9 @@ def fit(target, tied, restarts=20, seed=0, n=math.inf) -> EstimateResult:
             raise ValidationError(
                 f"tensor is not symmetric (defect {defect:.3g}); symmetrize first"
             )
-        # the tied fit's matrix-form gradient needs a symmetric residual
-        target = sym
+        # the tied fit's matrix-form gradient needs a symmetric residual; sums
+        # over the trailing axes keep the symmetry to the bit (one term at p=3)
+        target = sym.reshape(K, K, K, -1).sum(axis=3)
     check_align_k(K, "fit")
     if isinstance(restarts, bool) or not isinstance(restarts, (int, np.integer)) or restarts < 1:
         raise ValidationError(f"restarts must be an integer >= 1, got {restarts!r}")
@@ -234,17 +244,16 @@ def estimate(
     n: float = math.inf,
 ) -> EstimateResult:
     """Recover (prior, T) from a symmetric joint array of order p >= 3 (p
-    i.i.d. noisy labels, all of them fitted) estimated from n records (the
-    default, n = inf, is an exact tensor), by a tied `fit`, which checks its
-    values, shape and symmetry (an asymmetric tensor raises ValidationError)
-    and fits its symmetric part. Fewer than three labels raise
-    CapabilityError. A converged fit that violates the uniqueness
-    preconditions (non-degenerate prior, full-rank T) comes with a
-    warning."""
-    joint = np.asarray(joint, dtype=np.float64)
-    if joint.ndim < 3:
+    i.i.d. noisy labels, or `empirical_joint`'s moment of any p) estimated
+    from n records (the default, n = inf, is an exact tensor), by a tied
+    `fit`, which checks its values, shape and symmetry (an asymmetric tensor
+    raises ValidationError) and fits the order-3 marginal of its symmetric
+    part. Fewer than three labels raise CapabilityError. A converged fit
+    that violates the uniqueness preconditions (non-degenerate prior,
+    full-rank T) comes with a warning."""
+    if np.ndim(joint) < 3:
         raise CapabilityError(
-            f"p={joint.ndim} noisy labels per record; three conditionally "
+            f"p={np.ndim(joint)} noisy labels per record; three conditionally "
             "independent labels are required for instance-level recovery"
         )
     result = fit(joint, True, restarts, seed, n)
@@ -369,8 +378,9 @@ def err_metric(T_hat, T, permutation_invariant: bool = False) -> float:
 
 def mixing_bound(T1, T2, T_star) -> tuple[float, float, bool]:
     """Lower bound on the joint error of any single estimate for two groups:
-    ||T1 - T*||_F + ||T2 - T*||_F >= ||T1 - T2||_F / sqrt(2)."""
-    a, b, c = _as_array(T1), _as_array(T2), _as_array(T_star)
+    ||T1 - T*||_F + ||T2 - T*||_F >= ||T1 - T2||_F / sqrt(2). Each argument
+    must be a transition matrix, or ValidationError."""
+    a, b, c = (TransitionMatrix(m).entries for m in (T1, T2, T_star))
     if not (a.shape == b.shape == c.shape):
         raise DimensionError("all three matrices must share a shape")
     lhs = float(np.linalg.norm(a - c) + np.linalg.norm(b - c))

@@ -196,8 +196,10 @@ def align_permutation(T_hat, T_ref) -> tuple[tuple[int, ...], np.ndarray]:
         raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
     check_align_k(a.shape[0], "align_permutation")
     # cost[i, j] = squared distance of T_hat row i placed at reference row j;
-    # negating it is exact, so the search compares the same sums
-    cost = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+    # negating it is exact, so the search compares the same sums. Inputs above
+    # 2**500 (squares overflow near 1e154) are scaled by a power of two, exactly
+    s = 2.0 ** -max(np.frexp(np.abs([a, b]).max(initial=0.0))[1] - 500, 0)
+    cost = ((s * a[:, None, :] - s * b[None, :, :]) ** 2).sum(axis=2)
     perm = _best_permutation(-cost)
     return perm, a[list(perm)]
 

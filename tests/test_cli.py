@@ -238,19 +238,54 @@ class TestEstimate:
         assert doc["converged"] is True
         assert doc["err"] <= 2.0
 
-    def test_p7_dataset_exit_3_naming_the_cap(self, tmp_path, capsys):
+    def test_p7_dataset_fits_its_three_label_moment(self, tmp_path, capsys):
+        # 3**7 cells are above MAX_JOINT_CELLS; the moment has 3**3
         scen = write(
             tmp_path,
             "p7.json",
             {"K": 3, "noise_model": {"type": "asymmetric", "eps": 0.2},
-             "seed": 0, "n": 50, "p": 7},
+             "seed": 0, "n": 5000, "p": 7},
         )
         out = tmp_path / "p7.csv"
         main(["generate", scen, "-o", str(out), "--no-timestamp"])
         capsys.readouterr()
-        assert main(["estimate", str(out)]) == EXIT_CAPABILITY
-        err = capsys.readouterr().err
-        assert "2187 cells" in err and "MAX_JOINT_CELLS" in err
+        truth = write(tmp_path, "truth.json", [[0.8, 0.2, 0], [0, 0.8, 0.2], [0.2, 0, 0.8]])
+        assert main(
+            ["estimate", str(out), "--truth", truth, "--json", "--no-timestamp"]
+        ) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["converged"] is True
+        assert doc["err"] <= 2.0
+
+    def test_twenty_labels_recover_T(self, tmp_path, capsys):
+        # C(20, 3) = 1140 label triples per record, counted in 5**3 cells
+        T = [[0.8, 0.1, 0.05, 0.05, 0.0], [0.1, 0.7, 0.1, 0.05, 0.05],
+             [0.05, 0.1, 0.75, 0.05, 0.05], [0.0, 0.05, 0.15, 0.7, 0.1],
+             [0.1, 0.0, 0.05, 0.15, 0.7]]
+        scen = write(
+            tmp_path, "p20.json",
+            {"K": 5, "prior": [0.15, 0.25, 0.2, 0.3, 0.1], "T": T, "seed": 3,
+             "n": 100_000, "p": 20},
+        )
+        out = tmp_path / "p20.csv"
+        main(["generate", scen, "-o", str(out), "--no-timestamp"])
+        capsys.readouterr()
+        truth = write(tmp_path, "truth.json", T)
+        t0 = time.perf_counter()
+        assert main(
+            ["estimate", str(out), "--truth", truth, "--json", "--no-timestamp"]
+        ) == EXIT_OK
+        assert time.perf_counter() - t0 < 5.0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["converged"] is True
+        assert doc["err"] < 0.5
+
+    def test_exact_eleven_labels(self, tmp_path, capsys):
+        # 2**11 cells are above MAX_JOINT_CELLS; the three-label joint has 8
+        scen = write(tmp_path, "p11.json", {"K": 2, "T": [[0.9, 0.1], [0.3, 0.7]], "p": 11})
+        assert main(["estimate", scen, "--exact", "--json", "--no-timestamp"]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["converged"] is True and doc["err"] < 1e-6
 
     def test_huge_feature_values_exit_3_naming_the_cap(self, tmp_path, capsys):
         # 2e6 * 3e6 * 2 cells are refused before the count tensor is allocated
